@@ -54,7 +54,6 @@ from .permgrp import (
     class_orbit,
     matrix_to_perm,
     mulclose,
-    random_element,
     schreier_sims,
 )
 from .covers import (

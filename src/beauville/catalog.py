@@ -16,8 +16,8 @@ Sources: builtin:<SL|Sp|SU>:<d>:<q>, builtin:Sz:<q>, builtin:OmegaMinus:<d>:<q>,
 builtin:Alt:<n>, or file:<relative path> (permutation or matrix generator
 file, with a `order <N>` line declaring the group order).  Recipes:
 search:l,m,n:seed, words:<x>:<g> (y = x^g in the standard generators a, b),
-construction:<lineardim3|u41|u3|sp42>.  A missing generator file makes the
-entry Skipped, never a failure.
+construction:<lineardim3|u41|u3|sp42> (matrix sources only).  A missing
+generator file makes the entry Skipped, never a failure.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .matgrp import (
@@ -45,8 +44,6 @@ from .permgrp import Permutation, parse_perm_file
 from .structures import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
-    BeauvilleStructure,
-    ClassChecked,
     CoprimeOrders,
     Exhausted,
     GroupHandle,
@@ -369,7 +366,6 @@ class CatalogOptions:
     budget: int = DEFAULT_BUDGET
     cap: int = DEFAULT_CAP
     only: Optional[str] = None
-    jobs: int = 1
     base_dir: str = "."
 
 
@@ -387,10 +383,9 @@ def _build_triple(G: GroupHandle, recipe: TripleRecipe, options: CatalogOptions
             return result, seed, result.attempts
         return result, seed, 0
     if recipe.kind == "words":
-        a, b = G.gens[0], G.gens[1]
-        x = evaluate_word((a, b), recipe.x_word)
-        g = evaluate_word((a, b), recipe.g_word)
-        y = G.conjugate(x, g)
+        ab = G.perm_gens[:2]
+        x = evaluate_word(ab, recipe.x_word)
+        y = x.conjugate(evaluate_word(ab, recipe.g_word))
         result = verify_triple(G, x, y)
         if isinstance(result, NotGenerating):
             return f"words recipe generates subgroup of order {result.subgroup_order}", 0, 0
@@ -400,16 +395,11 @@ def _build_triple(G: GroupHandle, recipe: TripleRecipe, options: CatalogOptions
     # construction recipes rebuild the matrices in the handle's own field
     # and are injected through the faithful action
     builder = _CONSTRUCTIONS[recipe.construction]
-    x, y, _ = builder(_construction_q(G))
+    x, y, _ = builder(G.q)
     result = verify_triple(G, G.inject_matrix(x), G.inject_matrix(y))
     if not isinstance(result, HyperbolicTriple):
         return f"construction failed verification: {result}", 0, 0
     return result, 0, 0
-
-
-def _construction_q(G: GroupHandle) -> int:
-    name = G.name
-    return int(name.rsplit("_", 1)[-1])
 
 
 def run_entry(entry: CatalogEntry, options: CatalogOptions,
@@ -422,13 +412,10 @@ def run_entry(entry: CatalogEntry, options: CatalogOptions,
 
     if entry.infeasible is not None:
         return done(EntryReport(entry.name, "Skipped", detail=entry.infeasible))
-    try:
-        if entry.source not in handles:
-            handles[entry.source] = realize_source(
-                entry.source, options.base_dir, declared_order=entry.order)
-        G = handles[entry.source]
-    except CatalogDataError:
-        raise
+    if entry.source not in handles:
+        handles[entry.source] = realize_source(
+            entry.source, options.base_dir, declared_order=entry.order)
+    G = handles[entry.source]
     if G is None:
         return done(EntryReport(entry.name, "Skipped",
                                 detail=f"generator file for {entry.source} not present"))
@@ -436,6 +423,10 @@ def run_entry(entry: CatalogEntry, options: CatalogOptions,
     seeds = []
     attempts = 0
     for recipe in (entry.triple1, entry.triple2):
+        if recipe.kind == "construction" and G.action is None:
+            raise CatalogDataError(
+                f"{entry.name} (line {entry.line}): construction:{recipe.construction}"
+                f" needs a matrix source, not {entry.source}")
         result, seed, used = _build_triple(G, recipe, options)
         seeds.append(seed)
         attempts += used
@@ -476,16 +467,7 @@ def run_catalog(entries: Sequence[CatalogEntry], options: Optional[CatalogOption
     selected = [e for e in entries
                 if options.only is None or e.name == options.only]
     handles: Dict[str, GroupHandle] = {}
-    if options.jobs > 1:
-        # realization is shared, so prebuild handles serially for determinism
-        for e in selected:
-            if e.infeasible is None and e.source not in handles:
-                handles[e.source] = realize_source(e.source, options.base_dir,
-                                                   declared_order=e.order)
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            reports = list(pool.map(lambda e: run_entry(e, options, handles), selected))
-    else:
-        reports = [run_entry(e, options, handles) for e in selected]
+    reports = [run_entry(e, options, handles) for e in selected]
     return Report(SCHEMA_VERSION, options.master_seed, reports)
 
 

@@ -1,16 +1,16 @@
-"""Command-line surface.
+"""Command-line surface: zsigmondy, catalog, search, identities, covers.
 
 Exit codes: 0 for verified/skipped outcomes, 1 for a mathematical failure
 (Violation or TypeMismatch, or anything non-Verified under --strict),
-2 for usage and file errors.  Budget and cap defaults can be overridden by
-the BEAUVILLE_BUDGET and BEAUVILLE_CAP environment variables.
+2 for usage, file and catalog-data errors.  Catalog runs are serial and
+deterministic for a fixed --seed; --budget and --cap set the search budget
+and the class-orbit cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -25,13 +25,14 @@ from .catalog import (
 )
 from .matgrp import GroupSpec
 from .numtheory import zsigmondy
-from .structures import Exhausted, GroupHandle, search_by_type
+from .structures import (
+    DEFAULT_BUDGET,
+    DEFAULT_CAP,
+    Exhausted,
+    GroupHandle,
+    search_by_type,
+)
 from .identities import run_identity_suite
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
 
 
 def cmd_zsigmondy(args) -> int:
@@ -72,7 +73,6 @@ def cmd_catalog(args) -> int:
         budget=args.budget,
         cap=args.cap,
         only=args.only,
-        jobs=args.jobs,
         base_dir=base_dir,
     )
     try:
@@ -162,10 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="run catalog entries and report")
     p.add_argument("--file", help="catalog file (default: shipped catalog)")
     p.add_argument("--seed", type=int, default=0, help="master seed (0 keeps per-entry seeds)")
-    p.add_argument("--budget", type=int, default=_env_int("BEAUVILLE_BUDGET", 10 ** 5))
-    p.add_argument("--cap", type=int, default=_env_int("BEAUVILLE_CAP", 200000))
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--only", help="run a single named entry")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report to a file")
     p.add_argument("--strict", action="store_true",
                    help="fail on Skipped/Exhausted/Undecided as well")
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--type", required=True, help="l,m,n")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=_env_int("BEAUVILLE_BUDGET", 10 ** 5))
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("identities", help="randomized coefficient identity suites")

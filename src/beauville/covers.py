@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class RankOutOfRange(ValueError):
 
 
 class OrderExceedsBound(ValueError):
-    """cover_order gave up before reaching the identity."""
+    """neven_search found no suitable element within its draw budget."""
 
 
 class ZNotExhibited(AssertionError):
@@ -51,14 +51,18 @@ class CliffordCtx:
         self._parity = par
         self._idx = np.arange(self.dim, dtype=np.int64)
 
-    def _sign_mask(self, s: int) -> int:
+    @staticmethod
+    def _sign_mask(s: int) -> int:
         """K with eps(e_S, e_T) = (-1)^popcount(T & K): counts the
-        transpositions moving S past T plus the e_i^2 = -1 contractions."""
-        k = 0
-        for t in range(self.n):
-            c = bin(s >> (t + 1)).count("1")  # elements of S above t
-            if c & 1:
-                k ^= 1 << t
+        transpositions moving S past T plus the e_i^2 = -1 contractions.
+
+        Bit t of the transposition part is the parity of the bits of S
+        above t, which is the inverse Gray code of s >> 1 (n <= 14 < 16)."""
+        k = s >> 1
+        k ^= k >> 1
+        k ^= k >> 2
+        k ^= k >> 4
+        k ^= k >> 8
         return k ^ s  # the ^ s term adds popcount(S & T) from e_i^2 = -1
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,16 +198,11 @@ def word(cover: Cover, indices: Sequence[int]) -> CoverElement:
     return out
 
 
-def cover_order(u: CoverElement, bound: Optional[int] = None) -> int:
-    """Least k with u^k = 1, scanned up to bound (default 4n)."""
-    if bound is None:
-        bound = 4 * u.ctx.n
-    acc = u
-    for k in range(1, bound + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * u
-    raise OrderExceedsBound(f"no order found up to {bound}")
+def cover_order(u: CoverElement) -> int:
+    """Order of u, exact from its projection: with k the order of the
+    projected permutation, u^k is 1 or the central involution z."""
+    k = u.perm.order()
+    return k if (u ** k).is_identity() else 2 * k
 
 
 def standard_xy(cover: Cover) -> Tuple[CoverElement, CoverElement]:

@@ -144,6 +144,7 @@ class FieldCtx:
         self._exp: Optional[List[int]] = None
         self._log: Optional[List[int]] = None
         self._gen_code: Optional[int] = None
+        self._trace_zero: Optional[Tuple["FieldElement", ...]] = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -241,6 +242,17 @@ class FieldCtx:
         """All field elements in lexicographic coefficient order."""
         for coeffs in itertools.product(range(self.p), repeat=self.a):
             yield FieldElement(self, self._encode(coeffs))
+
+    def trace_zero(self) -> Tuple["FieldElement", ...]:
+        """{e : e^q + e = 0} in GF(q^2), in elements() order (so zero comes
+        first); built on first use."""
+        if self._trace_zero is None:
+            if self.a % 2 != 0:
+                raise ValueError("context is not a quadratic extension")
+            q = self.p ** (self.a // 2)
+            self._trace_zero = tuple(e for e in self.elements()
+                                     if (e ** q + e).code == 0)
+        return self._trace_zero
 
     def mul_code(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
@@ -474,13 +486,7 @@ def solve_norm(ctx: FieldCtx, c: FieldElement) -> FieldElement:
 
 def trace_zero_sample(ctx: FieldCtx) -> FieldElement:
     """Least nonzero e in GF(q^2) with e^q + e = 0."""
-    if ctx.a % 2 != 0:
-        raise ValueError("context is not a quadratic extension")
-    q = ctx.p ** (ctx.a // 2)
-    for e in ctx.elements():
-        if e.code and (e ** q) + e == ctx.zero:
-            return e
-    raise AssertionError("trace-zero set always has q - 1 nonzero members")
+    return ctx.trace_zero()[1]
 
 
 def sqrt_element(x: FieldElement) -> FieldElement:

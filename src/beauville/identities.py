@@ -8,7 +8,7 @@ streams are seeded, so runs are reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from .ffield import FieldCtx, get_field, get_field_of_order
 from .matgrp import (
@@ -45,11 +45,7 @@ def _rand_element(ctx: FieldCtx, rs: RandomSource):
     return ctx.from_code(rs.randrange(ctx.q))
 
 
-def _rand_trace_zero(ctx: FieldCtx, rs: RandomSource, nonzero: bool = False):
-    q = ctx.p ** (ctx.a // 2)
-    pool = [el for el in ctx.elements() if (el ** q + el).code == 0]
-    if nonzero:
-        pool = [el for el in pool if el.code]
+def _pick(pool: Sequence, rs: RandomSource):
     return pool[rs.randrange(len(pool))]
 
 
@@ -70,12 +66,14 @@ def u41_suite(q: int, trials: int, seed: int) -> int:
     p, h = factorize(q).factors[0]
     ctx = get_field(p, 2 * h)
     form = antidiagonal_form(ctx, 4, "hermitian")
+    trace_zero = ctx.trace_zero()
+    nonzero_trace_zero = trace_zero[1:]
     rs = RandomSource(seed)
     mismatches = 0
     for _ in range(trials):
-        e = _rand_trace_zero(ctx, rs, nonzero=True)
+        e = _pick(nonzero_trace_zero, rs)
         b = _rand_element(ctx, rs)
-        c = _rand_trace_zero(ctx, rs)
+        c = _pick(trace_zero, rs)
         x, y = u41_matrices(e, b, c)
         ok = (form.preserves(x) and form.preserves(y)
               and charpoly(x * y) == u41_charpoly(e, b, c))
@@ -90,17 +88,19 @@ def u3_suite(q: int, trials: int, seed: int) -> int:
     form = antidiagonal_form(ctx, 3, "hermitian")
     rs = RandomSource(seed)
     # admissible (a, b): b + b^q + a a^q = 0; sample a and then b from the
-    # matching trace fiber
-    fibers: Dict[int, List] = {}
+    # matching trace fiber, whose zero fiber is the trace-zero set
+    trace_zero = ctx.trace_zero()
+    fibers: Dict[int, Sequence] = {0: trace_zero}
     for el in ctx.elements():
-        fibers.setdefault((el + el ** q).code, []).append(el)
+        t = (el + el ** q).code
+        if t:
+            fibers.setdefault(t, []).append(el)
+    nonzero_trace_zero = trace_zero[1:]
     mismatches = 0
     for _ in range(trials):
-        e = _rand_trace_zero(ctx, rs, nonzero=True)
+        e = _pick(nonzero_trace_zero, rs)
         a = _rand_element(ctx, rs)
-        target = (-(a * a ** q)).code
-        pool = fibers[target]
-        b = pool[rs.randrange(len(pool))]
+        b = _pick(fibers[(-(a * a ** q)).code], rs)
         x, y = u3_matrices(e, a, b)
         ok = (form.preserves(x) and form.preserves(y)
               and charpoly(x * y) == u3_charpoly(e, a, b))
@@ -120,7 +120,7 @@ def sp42_suite(q: int, trials: int, seed: int) -> int:
         for _ in range(trials):
             a = _rand_element(ctx, rs)
             b = _rand_element(ctx, rs)
-            lam = lams[rs.randrange(len(lams))]
+            lam = _pick(lams, rs)
             x, y = sp42_matrices_even(a, b, lam)
             ok = (form.preserves(x) and form.preserves(y)
                   and charpoly(x * y) == sp42_charpoly_even(a, b, lam))

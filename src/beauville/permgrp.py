@@ -240,10 +240,6 @@ def schreier_sims(gens: Sequence[Permutation]) -> BSGS:
     return BSGS(gens)
 
 
-def group_order(gens: Sequence[Permutation]) -> int:
-    return schreier_sims(gens).order()
-
-
 def mulclose(gens: Iterable, cap: Optional[int] = None):
     """Exhaustive closure of a generating set (test oracle for BSGS orders)."""
     gens = list(gens)
@@ -335,23 +331,18 @@ def matrix_to_perm(gens: Sequence[SquareMatrix], action: str = "vectors",
 # conjugacy class orbits
 
 
-def class_orbit(g, gens: Sequence, cap: int = 200000,
-                mul=None, inv=None):
+def class_orbit(g, gens: Sequence, cap: int = 200000):
     """The conjugacy class of g under <gens> by orbit closure, or the
-    CAP_EXCEEDED sentinel.  Works for any hashable element type given
-    mul/inv; defaults to permutation operations."""
-    if mul is None:
-        mul = lambda a, b: a * b
-    if inv is None:
-        inv = lambda a: a.inverse()
-    gen_pairs = [(h, inv(h)) for h in gens]
+    CAP_EXCEEDED sentinel.  Works for any hashable element type with `*`
+    and `.inverse()`."""
+    gen_pairs = [(h, h.inverse()) for h in gens]
     orbit = {g}
     frontier = [g]
     while frontier:
         new_frontier = []
         for x in frontier:
             for h, hinv in gen_pairs:
-                y = mul(hinv, mul(x, h))
+                y = hinv * (x * h)
                 if y not in orbit:
                     if len(orbit) >= cap:
                         return CAP_EXCEEDED
@@ -428,23 +419,21 @@ class RandomSource:
 
 
 class ProductReplacer:
-    """Product-replacement (rattle) state over a generating set."""
+    """Product-replacement (rattle) state over a generating set of any
+    element type with `*` and `.inverse()`."""
 
     SLOTS = 10
     BURN_IN = 60
 
-    def __init__(self, gens: Sequence, rs: RandomSource, mul=None, inv=None,
-                 identity=None):
+    def __init__(self, gens: Sequence, rs: RandomSource):
         if not gens:
             raise ValueError("need generators")
-        self.mul = mul or (lambda a, b: a * b)
-        self.inv = inv or (lambda a: a.inverse())
         self.rs = rs
         slots = list(gens)
         while len(slots) < self.SLOTS:
             slots.append(gens[len(slots) % len(gens)])
         self.slots = slots
-        self.acc = identity if identity is not None else self.mul(self.inv(gens[0]), gens[0])
+        self.acc = gens[0].inverse() * gens[0]
         for _ in range(self.BURN_IN):
             self._mix()
 
@@ -456,21 +445,16 @@ class ProductReplacer:
             j += 1
         other = self.slots[j]
         if self.rs.randrange(2):
-            other = self.inv(other)
+            other = other.inverse()
         if self.rs.randrange(2):
-            self.slots[i] = self.mul(self.slots[i], other)
+            self.slots[i] = self.slots[i] * other
         else:
-            self.slots[i] = self.mul(other, self.slots[i])
-        self.acc = self.mul(self.acc, self.slots[i])
+            self.slots[i] = other * self.slots[i]
+        self.acc = self.acc * self.slots[i]
 
     def random_element(self):
         self._mix()
         return self.acc
-
-
-def random_element(rs: RandomSource, gens: Sequence[Permutation]) -> Permutation:
-    """One-shot pseudo-random element (fresh replacer; reproducible)."""
-    return ProductReplacer(gens, rs).random_element()
 
 
 # ---------------------------------------------------------------------------

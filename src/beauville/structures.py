@@ -1,20 +1,20 @@
 """The Beauville predicates: hyperbolic triples, the powers-not-conjugate
 condition, seeded searches and structure constants.
 
-A GroupHandle bundles a realized group: its abstract elements (permutations
-or matrices), a faithful-or-quotient permutation action used for all BSGS
-certificates, the expected order, and an element-order function.  Matrix
-handles compute orders at the matrix level whenever the realization targets
-a cover (the projective action loses the center); permutation handles use
-cycle structure.
+A GroupHandle bundles a realized group: its permutation generators, whose
+BSGS order certifies the expected order, and for matrix realizations the
+point action (vectors or projective points) that carries explicit matrices
+into the same permutation group.  Every element is a Permutation, so all
+element orders are cycle-structure orders; the matrix-level order of an
+injected matrix is only cross-checked against its image.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .numtheory import Factorization, factorize
 from .matgrp import (
@@ -23,12 +23,9 @@ from .matgrp import (
     classical_order,
     order_of_matrix,
     standard_generators,
-    suzuki_generators,
-    omega_minus_char2_generators,
 )
 from .permgrp import (
     CAP_EXCEEDED,
-    BSGS,
     Permutation,
     PointAction,
     ProductReplacer,
@@ -43,17 +40,19 @@ DEFAULT_CAP = 200000
 
 
 class GroupHandle:
-    """A realized group with certified order and uniform element operations."""
+    """A realized permutation group with certified order.
 
-    def __init__(self, name: str, gens: Sequence, expected_order: int,
-                 perm_gens: Sequence[Permutation]):
+    Matrix realizations also carry the point action and the field
+    parameter q of their spec, which the explicit constructions need.
+    """
+
+    def __init__(self, name: str, perm_gens: Sequence[Permutation],
+                 expected_order: int):
         self.name = name
-        self.gens = list(gens)
-        self.expected_order = expected_order
         self.perm_gens = list(perm_gens)
-        self.matrix_gens: Optional[List[SquareMatrix]] = None
-        self.action = None
-        self._bsgs: Optional[BSGS] = None
+        self.expected_order = expected_order
+        self.q: Optional[int] = None
+        self.action: Optional[PointAction] = None
         self._order_multiple: Optional[Factorization] = None
 
     # -- realization constructors
@@ -64,7 +63,7 @@ class GroupHandle:
         order = schreier_sims(gens).order()
         if expected_order is not None and order != expected_order:
             raise ValueError(f"{name}: BSGS order {order} != declared {expected_order}")
-        return cls(name, gens, order, gens)
+        return cls(name, gens, order)
 
     @classmethod
     def from_matrix_spec(cls, spec: GroupSpec, cap: int = 10 ** 7,
@@ -75,9 +74,6 @@ class GroupHandle:
         is nontrivial (so covers keep their central elements), projective
         points otherwise.  With quotient=True the projective action is used
         regardless, realizing the central quotient (PSL and friends).
-        Element arithmetic runs on the permutation side; the matrix
-        generators stay attached for the explicit constructions, whose
-        matrix-level orders are checked against the permutation image.
         """
         gens = list(spec.generators or standard_generators(spec))
         if spec.declared_order is not None:
@@ -98,8 +94,8 @@ class GroupHandle:
         if order != expected:
             raise ValueError(
                 f"{name}: BSGS order {order} != formula/declared {expected}")
-        handle = cls(name, perms, expected, perms)
-        handle.matrix_gens = gens
+        handle = cls(name, perms, expected)
+        handle.q = spec.q
         handle.action = act
         if not quotient:
             handle._order_multiple = _group_exponent_multiple(spec)
@@ -113,37 +109,8 @@ class GroupHandle:
             assert order_of_matrix(M, self._order_multiple) == perm.order()
         return perm
 
-    # -- element operations
-
-    def identity(self):
-        return Permutation.identity(self.gens[0].degree)
-
-    def multiply(self, a, b):
-        return a * b
-
-    def inverse(self, a):
-        return a.inverse()
-
-    def conjugate(self, a, g):
-        return self.inverse(g) * a * g
-
-    def element_order(self, a) -> int:
-        return a.order()
-
-    def to_perm(self, a) -> Permutation:
-        return a
-
-    def bsgs(self) -> BSGS:
-        if self._bsgs is None:
-            self._bsgs = schreier_sims(self.perm_gens)
-            assert self._bsgs.order() == self.expected_order
-        return self._bsgs
-
-    def subgroup_order(self, elements: Sequence) -> int:
-        return schreier_sims([self.to_perm(a) for a in elements]).order()
-
     def replacer(self, rs: RandomSource) -> ProductReplacer:
-        return ProductReplacer(self.gens, rs, identity=self.identity())
+        return ProductReplacer(self.perm_gens, rs)
 
     def __repr__(self) -> str:
         return f"GroupHandle({self.name}, order={self.expected_order})"
@@ -208,11 +175,11 @@ class NotHyperbolic:
 
 def verify_triple(G: GroupHandle, x, y) -> Union[HyperbolicTriple, NotGenerating, NotHyperbolic]:
     """Check x, y for a hyperbolic generating triple (x, y, (xy)^-1)."""
-    sub = G.subgroup_order([x, y])
+    sub = schreier_sims([x, y]).order()
     if sub != G.expected_order:
         return NotGenerating(sub)
-    z = G.inverse(G.multiply(x, y))
-    orders = (G.element_order(x), G.element_order(y), G.element_order(z))
+    z = (x * y).inverse()
+    orders = (x.order(), y.order(), z.order())
     total = sum(Fraction(1, o) for o in orders)
     if total >= 1:
         return NotHyperbolic(total)
@@ -264,16 +231,15 @@ def condition_iii(G: GroupHandle, t1: HyperbolicTriple, t2: HyperbolicTriple,
     checks = []
     for r in sorted(shared):
         us = [(slot, u) for slot, u in enumerate((t1.x, t1.y, t1.z))
-              if G.element_order(u) % r == 0]
+              if u.order() % r == 0]
         vs = [(slot, v) for slot, v in enumerate((t2.x, t2.y, t2.z))
-              if G.element_order(v) % r == 0]
+              if v.order() % r == 0]
         for u_slot, u in us:
-            u_r = _power_to_order(G, u, r)
-            orbit = class_orbit(G.to_perm(u_r), G.perm_gens, cap)
+            orbit = class_orbit(_power_to_order(u, r), G.perm_gens, cap)
             if orbit is CAP_EXCEEDED:
                 return Undecided(f"class orbit of an order-{r} power exceeds cap {cap}")
             for v_slot, v in vs:
-                v_r = G.to_perm(_power_to_order(G, v, r))
+                v_r = _power_to_order(v, r)
                 for k in range(1, r):
                     if v_r ** k in orbit:
                         return Violation(r, u_slot, v_slot, k)
@@ -281,8 +247,8 @@ def condition_iii(G: GroupHandle, t1: HyperbolicTriple, t2: HyperbolicTriple,
     return ClassChecked(tuple(checks))
 
 
-def _power_to_order(G: GroupHandle, u, r: int):
-    o = G.element_order(u)
+def _power_to_order(u: Permutation, r: int) -> Permutation:
+    o = u.order()
     assert o % r == 0
     return u ** (o // r)
 
@@ -331,22 +297,22 @@ def gow_search(G: GroupHandle, x0, target_order: Optional[int] = None,
     it (checked through the class orbit with the given cap).  With
     require_generation the pair must also pass verify_triple.
     """
-    if G.element_order(x0) == 1:
+    if x0.order() == 1:
         raise ValueError("x0 must be nontrivial")
     rs = RandomSource(seed)
     rep = G.replacer(rs)
     target_orbit = None
     if target_class is not None:
-        target_orbit = class_orbit(G.to_perm(target_class), G.perm_gens, cap)
+        target_orbit = class_orbit(target_class, G.perm_gens, cap)
         if target_orbit is CAP_EXCEEDED:
             return Exhausted(0, "target class orbit exceeds cap")
     for attempt in range(1, budget + 1):
         g = rep.random_element()
-        y = G.conjugate(x0, g)
-        prod = G.multiply(x0, y)
-        if target_order is not None and G.element_order(prod) != target_order:
+        y = x0.conjugate(g)
+        prod = x0 * y
+        if target_order is not None and prod.order() != target_order:
             continue
-        if target_orbit is not None and G.to_perm(prod) not in target_orbit:
+        if target_orbit is not None and prod not in target_orbit:
             continue
         if require_generation and not isinstance(verify_triple(G, x0, y), HyperbolicTriple):
             continue
@@ -354,11 +320,11 @@ def gow_search(G: GroupHandle, x0, target_order: Optional[int] = None,
     return Exhausted(budget)
 
 
-def _element_of_order(G: GroupHandle, rep: ProductReplacer, order: int,
-                      budget: int) -> Tuple[Optional[object], int]:
+def _element_of_order(rep: ProductReplacer, order: int,
+                      budget: int) -> Tuple[Optional[Permutation], int]:
     for attempt in range(1, budget + 1):
         g = rep.random_element()
-        o = G.element_order(g)
+        o = g.order()
         if o % order == 0:
             return g ** (o // order), attempt
     return None, budget
@@ -367,7 +333,7 @@ def _element_of_order(G: GroupHandle, rep: ProductReplacer, order: int,
 def element_of_order(G: GroupHandle, order: int, seed: int = 0,
                      budget: int = DEFAULT_BUDGET):
     """A pseudo-random element of the exact order, or None."""
-    el, _ = _element_of_order(G, G.replacer(RandomSource(seed)), order, budget)
+    el, _ = _element_of_order(G.replacer(RandomSource(seed)), order, budget)
     return el
 
 
@@ -390,10 +356,10 @@ def search_by_type(G: GroupHandle, type_lmn: Tuple[int, int, int],
         raise ValueError("orders must be at least 2")
     rs = RandomSource(seed)
     rep = G.replacer(rs)
-    a, used1 = _element_of_order(G, rep, l, budget)
+    a, used1 = _element_of_order(rep, l, budget)
     if a is None:
         return Exhausted(budget, f"no element of order {l}")
-    b, used2 = _element_of_order(G, rep, m, budget - used1)
+    b, used2 = _element_of_order(rep, m, budget - used1)
     if b is None:
         return Exhausted(budget, f"no element of order {m}")
     attempts = used1 + used2
@@ -403,13 +369,12 @@ def search_by_type(G: GroupHandle, type_lmn: Tuple[int, int, int],
         since_repin += 1
         if since_repin > REPIN_INTERVAL:
             since_repin = 0
-            a2, _ = _element_of_order(G, rep, l, REPIN_INTERVAL)
-            b2, _ = _element_of_order(G, rep, m, REPIN_INTERVAL)
+            a2, _ = _element_of_order(rep, l, REPIN_INTERVAL)
+            b2, _ = _element_of_order(rep, m, REPIN_INTERVAL)
             a, b = a2 or a, b2 or b
         g = rep.random_element()
-        bg = G.conjugate(b, g)
-        prod = G.multiply(a, bg)
-        if G.element_order(prod) != n:
+        bg = b.conjugate(g)
+        if (a * bg).order() != n:
             continue
         result = verify_triple(G, a, bg)
         if isinstance(result, HyperbolicTriple):
@@ -427,15 +392,14 @@ class CapExceededError(RuntimeError):
 
 def structure_constant(G: GroupHandle, c1, c2, z, cap: int = DEFAULT_CAP) -> int:
     """|{(a, b) in c1^G x c2^G : a b = z}| by iterating over c1's class."""
-    orbit1 = class_orbit(G.to_perm(c1), G.perm_gens, cap)
+    orbit1 = class_orbit(c1, G.perm_gens, cap)
     if orbit1 is CAP_EXCEEDED:
         raise CapExceededError(f"class of c1 exceeds cap {cap}")
-    orbit2 = class_orbit(G.to_perm(c2), G.perm_gens, cap)
+    orbit2 = class_orbit(c2, G.perm_gens, cap)
     if orbit2 is CAP_EXCEEDED:
         raise CapExceededError(f"class of c2 exceeds cap {cap}")
-    zp = G.to_perm(z)
     count = 0
     for a in orbit1:
-        if a.inverse() * zp in orbit2:
+        if a.inverse() * z in orbit2:
             count += 1
     return count

@@ -10,6 +10,7 @@ from beauville.catalog import (
     parse_catalog,
     parse_matrix_file,
     run_catalog,
+    run_entry,
     shipped_catalog_path,
 )
 from beauville.cli import main
@@ -116,13 +117,37 @@ def test_report_determinism_same_seed():
     assert r3.entries[0].certificate == r1.entries[0].certificate
 
 
-def test_parallel_jobs_match_serial():
-    entries, base = load_catalog_file(shipped_catalog_path())
-    keep = {"SL_3_2", "SL_2_7", "SL_4_16"}
-    subset = [e for e in entries if e.name in keep]
-    serial = run_catalog(subset, CatalogOptions(base_dir=base, jobs=1))
-    parallel = run_catalog(subset, CatalogOptions(base_dir=base, jobs=3))
-    assert serial.canonical_json() == parallel.canonical_json()
+def test_construction_recipe_on_matrix_source():
+    entry, = parse_catalog("""group Sp_4_4
+source builtin:Sp:4:4
+triple1 construction:sp42
+triple2 search:5,5,5:1
+expected_types (4,4,17),(5,5,5)
+""")
+    report = run_entry(entry, CatalogOptions(), {})
+    # the construction's product has order q^2 + 1 = 17, and the order
+    # products 4*4*17 and 5*5*5 are coprime
+    assert report.status == "Verified"
+    assert report.types == ((4, 4, 17), (5, 5, 5))
+    assert report.certificate == "CoprimeOrders"
+
+
+def test_construction_recipe_needs_a_matrix_source(tmp_path, capsys):
+    text = """group Alt_7
+source builtin:Alt:7
+triple1 construction:u41
+triple2 search:5,5,5:1
+expected_types (5,5,5),(5,5,5)
+"""
+    entry, = parse_catalog(text)
+    with pytest.raises(CatalogDataError, match="Alt_7"):
+        run_entry(entry, CatalogOptions(), {})
+    cat = tmp_path / "cat.txt"
+    cat.write_text(text)
+    assert main(["catalog", "--file", str(cat)]) == 2
+    err = capsys.readouterr().err
+    assert "Alt_7" in err and "construction:u41" in err
+    assert "Traceback" not in err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

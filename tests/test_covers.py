@@ -113,3 +113,27 @@ def test_neven_search_n8():
     a, b = neven_search(8, seed=1)
     assert (cover_order(a), cover_order(b), cover_order(a * b)) == (5, 7, 7)
     assert schreier_sims([a.perm, b.perm]).order() == math.factorial(8) // 2
+
+
+def test_cover_order_beyond_4n():
+    # lifts of a (7)(3) element of Alt(10) have orders 21 and 42 > 4n
+    cover = build_cover(10)
+    u = word(cover, [1, 2, 3, 4, 5, 6, 8, 9])
+    assert u.perm.cycle_type() == (7, 3)
+    orders = {cover_order(u), cover_order(u * cover.z)}
+    assert orders == {21, 42}
+    for v in (u, u * cover.z):
+        assert (v ** cover_order(v)).is_identity()
+
+
+def test_sign_mask_closed_form():
+    def reference(n, s):
+        k = 0
+        for t in range(n):
+            if bin(s >> (t + 1)).count("1") & 1:  # elements of S above t
+                k ^= 1 << t
+        return k ^ s
+
+    for n in range(3, 15):
+        ctx = CliffordCtx(n)
+        assert all(ctx._sign_mask(s) == reference(n, s) for s in range(ctx.dim)), n

@@ -109,6 +109,19 @@ def test_trace_zero_sample():
         assert e ** q == -e
 
 
+def test_trace_zero_set():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25):
+        F = get_field_of_order(q * q)
+        tz = F.trace_zero()
+        assert len(tz) == q
+        assert all(e ** q + e == F.zero for e in tz)
+        # elements() order, so zero first and trace_zero_sample second
+        order = {e.code: i for i, e in enumerate(F.elements())}
+        assert [order[e.code] for e in tz] == sorted(order[e.code] for e in tz)
+        assert tz[0] == F.zero and tz[1] == trace_zero_sample(F)
+        assert F.trace_zero() is tz
+
+
 def test_embedding_is_ring_hom():
     sub, sup = get_field(3, 1), get_field(3, 4)
     emb = embed_subfield(sub, sup)

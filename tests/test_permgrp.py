@@ -15,7 +15,6 @@ from beauville.permgrp import (
     matrix_to_perm,
     mulclose,
     parse_perm_file,
-    random_element,
     schreier_sims,
 )
 

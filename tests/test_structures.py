@@ -45,11 +45,12 @@ def test_verify_triple_diagnoses():
     assert isinstance(res, HyperbolicTriple) and res.orders == (5, 5, 5)
 
     s3 = perm_handle("Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
-    res = verify_triple(s3, s3.gens[0], s3.gens[1])
+    res = verify_triple(s3, s3.perm_gens[0], s3.perm_gens[1])
     assert isinstance(res, NotHyperbolic) and res.reciprocal_sum == Fraction(4, 3)
 
     G2 = GroupHandle.from_matrix_spec(GroupSpec("SL", 3, 2))
-    res = verify_triple(G2, G2.identity(), G2.identity())
+    one = Permutation.identity(G2.perm_gens[0].degree)
+    res = verify_triple(G2, one, one)
     assert isinstance(res, NotGenerating) and res.subgroup_order == 1
 
 
@@ -143,7 +144,7 @@ def test_gow_search():
     assert not isinstance(r, Exhausted)
     assert (x0 * r.y).order() == 7
     # returned y is a conjugate of x0 through the recorded witness
-    assert r.y == G.conjugate(x0, r.witness)
+    assert r.y == x0.conjugate(r.witness)
     assert isinstance(verify_triple(G, x0, r.y), HyperbolicTriple)
     # impossible target exhausts
     r = gow_search(G, x0, target_order=1000, budget=200, seed=1)
