@@ -16,8 +16,9 @@ Sources: builtin:<SL|Sp|SU>:<d>:<q>, builtin:Sz:<q>, builtin:OmegaMinus:<d>:<q>,
 builtin:Alt:<n>, or file:<relative path> (permutation or matrix generator
 file, with a `order <N>` line declaring the group order).  Recipes:
 search:l,m,n:seed, words:<x>:<g> (y = x^g in the standard generators a, b),
-construction:<lineardim3|u41|u3|sp42> (matrix sources only).  A missing
-generator file makes the entry Skipped, never a failure.
+construction:<lineardim3|u41|u3|sp42> (matrix sources of SL_3, SU_4, SU_3
+and Sp_4 respectively).  A missing generator file makes the entry Skipped,
+never a failure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .matgrp import (
+    BadField,
     GroupSpec,
     SquareMatrix,
     lineardim3_triple,
@@ -260,11 +262,12 @@ def parse_catalog(text: str) -> List[CatalogEntry]:
 # realization
 
 
+# each construction with the family and dimension of the source it needs
 _CONSTRUCTIONS = {
-    "lineardim3": lineardim3_triple,
-    "u41": u41_triple,
-    "u3": u3_triple,
-    "sp42": sp42_triple,
+    "lineardim3": (lineardim3_triple, "SL", 3),
+    "u41": (u41_triple, "SU", 4),
+    "u3": (u3_triple, "SU", 3),
+    "sp42": (sp42_triple, "Sp", 4),
 }
 
 
@@ -373,7 +376,8 @@ def _mix_seed(master: int, seed: int) -> int:
     return seed if master == 0 else ((master << 20) ^ seed) & ((1 << 63) - 1)
 
 
-def _build_triple(G: GroupHandle, recipe: TripleRecipe, options: CatalogOptions
+def _build_triple(G: GroupHandle, entry: CatalogEntry, recipe: TripleRecipe,
+                  options: CatalogOptions
                   ) -> Tuple[Union[HyperbolicTriple, Exhausted, str], int, int]:
     """Returns (triple-or-failure, seed used, attempts)."""
     if recipe.kind == "search":
@@ -394,9 +398,20 @@ def _build_triple(G: GroupHandle, recipe: TripleRecipe, options: CatalogOptions
         return result, 0, 0
     # construction recipes rebuild the matrices in the handle's own field
     # and are injected through the faithful action
-    builder = _CONSTRUCTIONS[recipe.construction]
-    x, y, _ = builder(G.q)
+    builder, family, d = _CONSTRUCTIONS[recipe.construction]
+    where = f"{entry.name} (line {entry.line}): construction:{recipe.construction}"
+    if G.action is None:
+        raise CatalogDataError(f"{where} needs a matrix source, not {entry.source}")
+    if (G.family, G.action.d) != (family, d):
+        raise CatalogDataError(f"{where} needs a {family}_{d} source, not {entry.source}")
+    try:
+        x, y, _ = builder(G.q)
+    except BadField as exc:
+        raise CatalogDataError(f"{where}: {exc}") from None
     result = verify_triple(G, G.inject_matrix(x), G.inject_matrix(y))
+    if isinstance(result, NotGenerating):
+        return (f"construction failed verification: {result.reason},"
+                f" <x, y> has order {result.subgroup_order}"), 0, 0
     if not isinstance(result, HyperbolicTriple):
         return f"construction failed verification: {result}", 0, 0
     return result, 0, 0
@@ -423,11 +438,7 @@ def run_entry(entry: CatalogEntry, options: CatalogOptions,
     seeds = []
     attempts = 0
     for recipe in (entry.triple1, entry.triple2):
-        if recipe.kind == "construction" and G.action is None:
-            raise CatalogDataError(
-                f"{entry.name} (line {entry.line}): construction:{recipe.construction}"
-                f" needs a matrix source, not {entry.source}")
-        result, seed, used = _build_triple(G, recipe, options)
+        result, seed, used = _build_triple(G, entry, recipe, options)
         seeds.append(seed)
         attempts += used
         if isinstance(result, Exhausted):

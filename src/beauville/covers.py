@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .permgrp import Permutation, RandomSource, schreier_sims
+from .structures import REPIN_INTERVAL
 
 _P = 7
 _SQRT2 = 3  # 3*3 = 9 = 2 in GF(7)
@@ -315,7 +316,10 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
     Mirrors the machine check behind the even-rank statement.  One element
     of each cover order is pinned first, then only the relative position is
     randomized (conjugating the first element), which keeps the per-trial
-    cost at a few algebra products.
+    cost at a few algebra products.  The pinned pair is redrawn every
+    REPIN_INTERVAL draws, as in search_by_type, so an unlucky pair cannot
+    wedge the search.  Both projections are even, so a Schreier-Sims build
+    stopped at n!/2 proves they generate Alt(n).
     """
     if n % 2 or not 6 <= n <= 10:
         raise RankOutOfRange("neven_search supports even n in 6..10")
@@ -340,11 +344,13 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
     a0 = pinned_element(5)
     b0 = pinned_element(n - 1)
     target = math.factorial(n) // 2
-    for _ in range(budget):
+    for draw in range(1, budget + 1):
+        if draw % REPIN_INTERVAL == 0:
+            a0, b0 = pinned_element(5), pinned_element(n - 1)
         a = a0.conjugate(random_even_element())
         if cover_order(a * b0) != n - 1:
             continue
-        if schreier_sims([a.perm, b0.perm]).order() != target:
+        if schreier_sims([a.perm, b0.perm], stop_at=target).order() != target:
             continue
         try:
             _exhibit_center(a, b0, cover.z)

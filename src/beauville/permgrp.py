@@ -1,11 +1,18 @@
 """Permutation groups with base/strong-generating-set certificates.
 
 Permutations are stored 0-based as image tuples and compose left to right
-((p * q)(i) = q[p[i]]), matching the row-vector matrix action.  The BSGS is
-built by the deterministic incremental Schreier-Sims algorithm with base
-points taken as first moved points, so the whole structure is a function of
-the generator list alone.  Orders, membership and the generation
-certificates used by the Beauville predicates all come from it.
+((p * q)(i) = q[p[i]]), matching the row-vector matrix action.  The public
+constructor validates its input; products, inverses and identities are
+built unchecked, since they are permutations by construction.
+
+The BSGS is built by the deterministic incremental Schreier-Sims algorithm
+with base points taken as first moved points, so the whole structure is a
+function of the generator list alone.  Schreier generators are formed only
+when they are taken off the work stack.  Orders, membership and the
+generation certificates used by the Beauville predicates all come from it.
+A build may also stop as soon as the product of its transversal sizes
+reaches a known order: for H = <gens> that product is a lower bound on |H|
+at every stage, so reaching |G| for some G containing H proves H = G.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
+        return _unchecked(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]],
@@ -59,7 +66,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         q = other.images
-        return Permutation([q[i] for i in self.images])
+        return _unchecked(tuple([q[i] for i in self.images]))
 
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
@@ -77,7 +84,7 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return _unchecked(tuple(inv))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """self^g = g^-1 * self * g."""
@@ -91,7 +98,7 @@ class Permutation:
         return hash(self.images)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self, skip_fixed: bool = True) -> List[Tuple[int, ...]]:
         seen = [False] * self.degree
@@ -126,14 +133,46 @@ class Permutation:
         return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cyc)
 
 
+def _unchecked(images: Tuple[int, ...]) -> Permutation:
+    """A Permutation from an image tuple known to be a permutation."""
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
+
+
+def orbit_partition(gens: Sequence[Permutation]) -> Tuple[int, ...]:
+    """For each point, the least point of its orbit under <gens>: two
+    groups on the same points have equal orbits iff these tuples agree."""
+    degree = gens[0].degree
+    label = [-1] * degree
+    for start in range(degree):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            pt = stack.pop()
+            for g in gens:
+                img = g.images[pt]
+                if label[img] < 0:
+                    label[img] = start
+                    stack.append(img)
+    return tuple(label)
+
+
 # ---------------------------------------------------------------------------
 # Schreier-Sims
 
 
 class BSGS:
-    """Base, strong generators and per-level transversals for <gens>."""
+    """Base, strong generators and per-level transversals for <gens>.
 
-    def __init__(self, gens: Sequence[Permutation]):
+    With stop_at the build returns as soon as order() reaches it, skipping
+    the final strip check.  The structure is then incomplete (complete is
+    False): order() is a lower bound on |<gens>| and contains() refuses.
+    """
+
+    def __init__(self, gens: Sequence[Permutation], stop_at: Optional[int] = None):
         if not gens:
             raise ValueError("need at least one generator")
         self.degree = gens[0].degree
@@ -143,7 +182,8 @@ class BSGS:
         self.base: List[int] = []
         self.level_gens: List[List[Permutation]] = []
         self.transversals: List[Dict[int, Permutation]] = []
-        self._build()
+        self.complete = True
+        self._build(stop_at)
 
     # transversal[l][p] maps base[l] to p; reps are stable once assigned
 
@@ -171,12 +211,12 @@ class BSGS:
             out.extend(lst)
         return out
 
-    def _extend_orbit(self, level: int, h: Permutation) -> List[Permutation]:
+    def _extend_orbit(self, level: int, h: Permutation, stack: list) -> None:
         """Extend one level's orbit by a new generator; reps stay stable.
-        Returns the fresh Schreier generators of that level."""
+        Pushes the level's fresh Schreier generators rep * g * back^-1 onto
+        stack as pending (rep, g, back, level + 1) entries."""
         trans = self.transversals[level]
         gens = self._level_generators(level)
-        schreier = []
         frontier = []
         for pt in list(trans):
             img = h.images[pt]
@@ -184,9 +224,7 @@ class BSGS:
                 trans[img] = trans[pt] * h
                 frontier.append(img)
             else:
-                s = trans[pt] * h * trans[img].inverse()
-                if not s.is_identity():
-                    schreier.append(s)
+                stack.append((trans[pt], h, trans[img], level + 1))
         while frontier:
             new_frontier = []
             for pt in frontier:
@@ -197,16 +235,19 @@ class BSGS:
                         trans[img] = rep * g
                         new_frontier.append(img)
                     else:
-                        s = rep * g * trans[img].inverse()
-                        if not s.is_identity():
-                            schreier.append(s)
+                        stack.append((rep, g, trans[img], level + 1))
             frontier = new_frontier
-        return schreier
 
-    def _build(self) -> None:
-        stack = [(g, 0) for g in reversed(self.gens)]
+    def _build(self, stop_at: Optional[int]) -> None:
+        # entries (g, gen, back, level): strip g * gen * back^-1 from level;
+        # the input generators have gen None
+        stack = [(g, None, None, 0) for g in reversed(self.gens)]
         while stack:
-            g, level = stack.pop()
+            g, gen, back, level = stack.pop()
+            if gen is not None:
+                g = g * gen * back.inverse()
+                if g.is_identity():
+                    continue
             h, drop = self._strip(g, level)
             if h.is_identity():
                 continue
@@ -216,8 +257,10 @@ class BSGS:
             # every level up to drop and can grow each of those orbits
             self.level_gens[drop].append(h)
             for l in range(drop + 1):
-                for s in self._extend_orbit(l, h):
-                    stack.append((s, l + 1))
+                self._extend_orbit(l, h, stack)
+            if stop_at is not None and self.order() >= stop_at:
+                self.complete = False
+                return
         for g in self.gens:
             h, _ = self._strip(g)
             assert h.is_identity(), "strong generating set verification failed"
@@ -229,15 +272,23 @@ class BSGS:
         return out
 
     def contains(self, g: Permutation) -> bool:
+        if not self.complete:
+            raise ValueError("membership needs a complete BSGS")
         if g.degree != self.degree:
             return False
         h, _ = self._strip(g)
         return h.is_identity()
 
 
-def schreier_sims(gens: Sequence[Permutation]) -> BSGS:
-    """Deterministic BSGS for the group generated by gens."""
-    return BSGS(gens)
+def schreier_sims(gens: Sequence[Permutation], stop_at: Optional[int] = None) -> BSGS:
+    """Deterministic BSGS for the group generated by gens.
+
+    With stop_at = |G| for some G known to contain <gens>, the build stops
+    once the proven lower bound on |<gens>| reaches |G|, which proves
+    <gens> = G; a smaller group is built to completion, so its order is
+    exact.
+    """
+    return BSGS(gens, stop_at)
 
 
 def mulclose(gens: Iterable, cap: Optional[int] = None):

@@ -7,13 +7,19 @@ point action (vectors or projective points) that carries explicit matrices
 into the same permutation group.  Every element is a Permutation, so all
 element orders are cycle-structure orders; the matrix-level order of an
 injected matrix is only cross-checked against its image.
+
+verify_triple certifies generation without a full Schreier-Sims build of
+<x, y>: an orbit-partition comparison that can only reject, membership of
+x and y in G proven through G's BSGS, and a build of <x, y> that stops once
+its proven lower bound on |<x, y>| reaches |G|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 from .numtheory import Factorization, factorize
@@ -25,6 +31,7 @@ from .matgrp import (
     standard_generators,
 )
 from .permgrp import (
+    BSGS,
     CAP_EXCEEDED,
     Permutation,
     PointAction,
@@ -32,6 +39,7 @@ from .permgrp import (
     RandomSource,
     class_orbit,
     matrix_to_perm,
+    orbit_partition,
     schreier_sims,
 )
 
@@ -42,8 +50,10 @@ DEFAULT_CAP = 200000
 class GroupHandle:
     """A realized permutation group with certified order.
 
-    Matrix realizations also carry the point action and the field
-    parameter q of their spec, which the explicit constructions need.
+    Matrix realizations also carry the point action and the family and
+    field parameter q of their spec, which the explicit constructions need.
+    The orbit partition and a complete BSGS, which verify_triple uses, are
+    computed on first use and kept.
     """
 
     def __init__(self, name: str, perm_gens: Sequence[Permutation],
@@ -51,6 +61,7 @@ class GroupHandle:
         self.name = name
         self.perm_gens = list(perm_gens)
         self.expected_order = expected_order
+        self.family: Optional[str] = None
         self.q: Optional[int] = None
         self.action: Optional[PointAction] = None
         self._order_multiple: Optional[Factorization] = None
@@ -95,11 +106,20 @@ class GroupHandle:
             raise ValueError(
                 f"{name}: BSGS order {order} != formula/declared {expected}")
         handle = cls(name, perms, expected)
+        handle.family = spec.family
         handle.q = spec.q
         handle.action = act
         if not quotient:
             handle._order_multiple = _group_exponent_multiple(spec)
         return handle
+
+    @cached_property
+    def orbits(self) -> Tuple[int, ...]:
+        return orbit_partition(self.perm_gens)
+
+    @cached_property
+    def bsgs(self) -> BSGS:
+        return schreier_sims(self.perm_gens)
 
     def inject_matrix(self, M: SquareMatrix) -> Permutation:
         """Image of a matrix in the handle's faithful action, with the
@@ -165,7 +185,15 @@ class HyperbolicTriple:
 
 @dataclass(frozen=True)
 class NotGenerating:
-    subgroup_order: int
+    """x and y do not generate G.  reason names the step of verify_triple
+    that rejected them; |<x, y>| is computed on first use."""
+
+    gens: Tuple[Permutation, Permutation] = field(repr=False)
+    reason: str
+
+    @cached_property
+    def subgroup_order(self) -> int:
+        return schreier_sims(self.gens).order()
 
 
 @dataclass(frozen=True)
@@ -173,11 +201,28 @@ class NotHyperbolic:
     reciprocal_sum: Fraction
 
 
+ORBITS_DIFFER = "orbits differ from G's"
+OUTSIDE_G = "not both in G"
+PROPER_SUBGROUP = "proper subgroup"
+
+
 def verify_triple(G: GroupHandle, x, y) -> Union[HyperbolicTriple, NotGenerating, NotHyperbolic]:
-    """Check x, y for a hyperbolic generating triple (x, y, (xy)^-1)."""
-    sub = schreier_sims([x, y]).order()
+    """Check x, y for a hyperbolic generating triple (x, y, (xy)^-1).
+
+    Generation is proven in three steps.  The orbits of <x, y> must be G's:
+    this prefilter only rejects.  x and y must lie in G, proven by
+    stripping them through G's BSGS.  Then a Schreier-Sims build of <x, y>
+    stopped at |G| must reach |G|: its transversal product is a lower bound
+    on |<x, y>|, and <x, y> <= G, so reaching |G| proves <x, y> = G.
+    """
+    gens = (x, y)
+    if orbit_partition(gens) != G.orbits:
+        return NotGenerating(gens, ORBITS_DIFFER)
+    if not (G.bsgs.contains(x) and G.bsgs.contains(y)):
+        return NotGenerating(gens, OUTSIDE_G)
+    sub = schreier_sims(gens, stop_at=G.expected_order).order()
     if sub != G.expected_order:
-        return NotGenerating(sub)
+        return NotGenerating(gens, PROPER_SUBGROUP)
     z = (x * y).inverse()
     orders = (x.order(), y.order(), z.order())
     total = sum(Fraction(1, o) for o in orders)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -9,12 +10,15 @@ from beauville.catalog import (
     load_catalog_file,
     parse_catalog,
     parse_matrix_file,
+    realize_source,
     run_catalog,
     run_entry,
     shipped_catalog_path,
 )
 from beauville.cli import main
 from beauville.matgrp import GroupSpec, standard_generators
+from beauville.permgrp import Permutation
+from beauville.structures import GroupHandle
 
 
 def test_parse_catalog_round_trip():
@@ -132,6 +136,39 @@ expected_types (4,4,17),(5,5,5)
     assert report.certificate == "CoprimeOrders"
 
 
+def test_construction_outside_the_group_fails_cleanly():
+    text = """group Sp_4_4
+source builtin:Sp:4:4
+triple1 construction:sp42
+triple2 search:5,5,5:1
+expected_types (4,4,17),(5,5,5)
+"""
+    entry, = parse_catalog(text)
+    G = realize_source(entry.source, ".")
+    # the same group with two points swapped: a conjugate of Sp(4,4) in the
+    # symmetric group, which the injected construction matrices do not lie in
+    swap = Permutation.from_cycles(G.perm_gens[0].degree, [(1, 2)])
+    H = GroupHandle(G.name, [g.conjugate(swap) for g in G.perm_gens], G.expected_order)
+    H.family, H.q, H.action = G.family, G.q, G.action
+    report = run_entry(entry, CatalogOptions(), {entry.source: H})
+    assert report.status == "TypeMismatch"
+    assert "not both in G" in report.detail
+
+
+def _assert_data_error(tmp_path, capsys, text, *needles):
+    """run_entry raises CatalogDataError and the CLI exits 2 with every
+    needle in its message, without a traceback."""
+    entry, = parse_catalog(text)
+    with pytest.raises(CatalogDataError, match=re.escape(needles[0])):
+        run_entry(entry, CatalogOptions(), {})
+    cat = tmp_path / "cat.txt"
+    cat.write_text(text)
+    assert main(["catalog", "--file", str(cat)]) == 2
+    err = capsys.readouterr().err
+    assert all(needle in err for needle in needles)
+    assert "Traceback" not in err
+
+
 def test_construction_recipe_needs_a_matrix_source(tmp_path, capsys):
     text = """group Alt_7
 source builtin:Alt:7
@@ -139,15 +176,24 @@ triple1 construction:u41
 triple2 search:5,5,5:1
 expected_types (5,5,5),(5,5,5)
 """
-    entry, = parse_catalog(text)
-    with pytest.raises(CatalogDataError, match="Alt_7"):
-        run_entry(entry, CatalogOptions(), {})
-    cat = tmp_path / "cat.txt"
-    cat.write_text(text)
-    assert main(["catalog", "--file", str(cat)]) == 2
-    err = capsys.readouterr().err
-    assert "Alt_7" in err and "construction:u41" in err
-    assert "Traceback" not in err
+    _assert_data_error(tmp_path, capsys, text, "Alt_7", "construction:u41")
+
+
+@pytest.mark.parametrize("source,construction,message", [
+    ("builtin:Sp:4:4", "u41", "needs a SU_4 source"),
+    ("builtin:SL:3:4", "sp42", "needs a Sp_4 source"),
+    ("builtin:SL:3:2", "lineardim3", "construction needs q > 3"),
+])
+def test_construction_recipe_needs_a_matching_source(tmp_path, capsys, source,
+                                                     construction, message):
+    text = f"""group MISMATCH
+source {source}
+triple1 construction:{construction}
+triple2 search:5,5,5:1
+expected_types (5,5,5),(5,5,5)
+"""
+    _assert_data_error(tmp_path, capsys, text, "MISMATCH (line 1)",
+                       f"construction:{construction}", message)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

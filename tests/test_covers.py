@@ -109,6 +109,14 @@ def test_neven_search_n6():
     assert schreier_sims([a.perm, b.perm]).order() == 360
 
 
+def test_neven_search_n6_redraws_its_pinned_pair():
+    # seed 5's first pinned pair fails in all 3,000 draws; redrawing it
+    # every REPIN_INTERVAL draws finds a triple
+    a, b = neven_search(6, seed=5)
+    assert (cover_order(a), cover_order(b), cover_order(a * b)) == (5, 5, 5)
+    assert schreier_sims([a.perm, b.perm]).order() == 360
+
+
 def test_neven_search_n8():
     a, b = neven_search(8, seed=1)
     assert (cover_order(a), cover_order(b), cover_order(a * b)) == (5, 7, 7)

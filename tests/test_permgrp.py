@@ -1,7 +1,10 @@
+import hashlib
 import math
+import os
 
 import pytest
 
+import beauville
 from beauville.matgrp import GroupSpec, standard_generators
 from beauville.permgrp import (
     CAP_EXCEEDED,
@@ -31,8 +34,17 @@ def test_permutation_basics():
     assert p.order() == 3 and cyc(6, (1, 2), (3, 4, 5)).order() == 6
     assert p.cycle_type() == (3, 1, 1)
     assert (p ** -1) == p.inverse()
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
+    # the public constructor validates outside input
+    for bad in ([0, 0, 1], [1, 2, 3], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    # products, inverses and identities are built unchecked, and are the
+    # permutations the public constructor builds from the same images
+    r = cyc(6, (2, 6))
+    s = cyc(6, (1, 2, 3), (4, 5))
+    for t in (s * r, s.inverse(), s ** 5, Permutation.identity(6)):
+        assert type(t.images) is tuple and Permutation(t.images) == t
+    assert (s * r).images == tuple(r.images[i] for i in s.images)
 
 
 def test_bsgs_small():
@@ -54,7 +66,46 @@ def test_bsgs_vs_exhaustive_enumeration():
         ("C7xC2", [cyc(9, (1, 2, 3, 4, 5, 6, 7)), cyc(9, (8, 9))]),
     ]
     for name, gens in suites:
-        assert schreier_sims(gens).order() == len(mulclose(gens)), name
+        order = len(mulclose(gens))
+        assert schreier_sims(gens).order() == order, name
+        # stopped at the true order, the lower bound is already exact
+        stopped = schreier_sims(gens, stop_at=order)
+        assert stopped.order() == order, name
+        assert schreier_sims(gens, stop_at=order + 1).complete, name
+
+
+def test_stopped_bsgs_is_incomplete():
+    gens = [cyc(7, (1, 2, 3)), cyc(7, (1, 2, 3, 4, 5, 6, 7))]
+    full = schreier_sims(gens)
+    stopped = schreier_sims(gens, stop_at=2520)
+    assert full.complete and not stopped.complete
+    assert stopped.order() == 2520
+    with pytest.raises(ValueError):
+        stopped.contains(gens[0])
+    # a small stop bound only proves a lower bound
+    assert 2 <= schreier_sims(gens, stop_at=2).order() <= 2520
+
+
+def test_bsgs_structure_golden():
+    # base, level generators and transversal reps of M11 as built by the
+    # deterministic Schreier-Sims; lazy Schreier generators keep them
+    path = os.path.join(os.path.dirname(beauville.__file__), "data", "M11.perm")
+    with open(path, encoding="utf-8") as fh:
+        gens, _ = parse_perm_file(fh.read())
+    bsgs = schreier_sims(gens)
+    h = hashlib.sha256()
+    h.update(repr(bsgs.base).encode())
+    for lst in bsgs.level_gens:
+        h.update(b"L")
+        for g in lst:
+            h.update(repr(g.images).encode())
+    for trans in bsgs.transversals:
+        h.update(b"T")
+        for pt, rep in trans.items():
+            h.update(repr((pt, rep.images)).encode())
+    assert bsgs.order() == 7920
+    assert h.hexdigest() == (
+        "0a30e2be4d9b8618295c3e09760025ae0dfd85c5947de2d6b6ff0bd22877723b")
 
 
 def test_bsgs_membership():

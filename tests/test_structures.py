@@ -1,17 +1,22 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from beauville.matgrp import GroupSpec
+from beauville.matgrp import GroupSpec, standard_generators
 from beauville.permgrp import (
     Permutation,
     RandomSource,
     alt_triple,
     class_orbit,
+    matrix_to_perm,
     mulclose,
     schreier_sims,
 )
 from beauville.structures import (
+    ORBITS_DIFFER,
+    OUTSIDE_G,
+    PROPER_SUBGROUP,
     BeauvilleStructure,
     ClassChecked,
     CoprimeOrders,
@@ -52,6 +57,52 @@ def test_verify_triple_diagnoses():
     one = Permutation.identity(G2.perm_gens[0].degree)
     res = verify_triple(G2, one, one)
     assert isinstance(res, NotGenerating) and res.subgroup_order == 1
+
+
+def test_verify_triple_rejects_a_conjugate_subgroup():
+    # PSL(2,5) on the 6 projective points; (2,3)(5,6) and (1,2,3,4,6)
+    # generate a group of the same order and the same (single) orbit, but a
+    # different conjugate inside Sym(6)
+    perms, _, _ = matrix_to_perm(standard_generators(GroupSpec("SL", 2, 5)), "projective")
+    G = GroupHandle.from_permutations("PSL2_5", perms, 60)
+    x, y = cyc(6, (2, 3), (5, 6)), cyc(6, (1, 2, 3, 4, 6))
+    assert schreier_sims([x, y]).order() == 60
+    res = verify_triple(G, x, y)
+    assert isinstance(res, NotGenerating) and res.reason == OUTSIDE_G
+    assert res.subgroup_order == 60
+
+
+def test_verify_triple_matches_full_schreier_sims_on_alt6():
+    gens = [cyc(6, (1, 2, 3)), cyc(6, (2, 3, 4, 5, 6))]
+    G = perm_handle("Alt6", gens)
+    full_G = schreier_sims(gens)
+    alt6 = sorted(mulclose(gens), key=lambda g: g.images)
+    sym6 = sorted(mulclose([cyc(6, (1, 2)), cyc(6, (1, 2, 3, 4, 5, 6))]),
+                  key=lambda g: g.images)
+    assert G.expected_order == len(alt6) == 360 and len(sym6) == 720
+    rs = RandomSource(2024)
+    # 2,000 pairs from Alt(6), then 200 from Sym(6) to reach the membership step
+    pairs = [(alt6[rs.randrange(360)], alt6[rs.randrange(360)]) for _ in range(2000)]
+    pairs += [(sym6[rs.randrange(720)], sym6[rs.randrange(720)]) for _ in range(200)]
+    outcomes = Counter()
+    for x, y in pairs:
+        full = schreier_sims([x, y]).order()
+        generates = full == 360 and full_G.contains(x) and full_G.contains(y)
+        res = verify_triple(G, x, y)
+        if not generates:
+            assert isinstance(res, NotGenerating), (x, y)
+            assert res.subgroup_order == full
+            outcomes[res.reason] += 1
+            if res.reason == PROPER_SUBGROUP and full == 60:
+                outcomes["transitive Alt(5)"] += 1
+            continue
+        z = (x * y).inverse()
+        hyperbolic = sum(Fraction(1, g.order()) for g in (x, y, z)) < 1
+        assert isinstance(res, HyperbolicTriple if hyperbolic else NotHyperbolic), (x, y)
+        outcomes["accept" if hyperbolic else "not hyperbolic"] += 1
+    # every step of verify_triple decides some of the sample
+    assert outcomes[ORBITS_DIFFER] and outcomes[OUTSIDE_G]
+    assert outcomes["transitive Alt(5)"] and outcomes["accept"]
 
 
 def test_condition_iii_coprime_fast_path():
