@@ -20,7 +20,7 @@ from beauville import (
 from beauville.numtheory import lambda_value
 
 print("SL_3(q): unipotent x, transvection y, product in a maximal torus")
-for q in (4, 5, 7, 8):
+for q in (5, 7, 8, 9):
     x, y, xy = lineardim3_triple(q)
     o = order_of_matrix(xy, factorize(q * q - 1))
     print(f"  q={q}: o(xy) = {o} (target (q^2-1)/gcd(2,q-1) = "

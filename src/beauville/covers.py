@@ -348,7 +348,9 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
         if draw % REPIN_INTERVAL == 0:
             a0, b0 = pinned_element(5), pinned_element(n - 1)
         a = a0.conjugate(random_even_element())
-        if cover_order(a * b0) != n - 1:
+        ab = a * b0
+        # the cover order is o(projection) or twice it, and n - 1 is odd
+        if not ab.perm.has_order(n - 1) or cover_order(ab) != n - 1:
             continue
         if schreier_sims([a.perm, b0.perm], stop_at=target).order() != target:
             continue

@@ -640,7 +640,7 @@ def lineardim3_charpoly(a: FieldElement, b: FieldElement) -> Tuple[int, ...]:
 
 
 def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
-    """The unipotent pair in SL_3(q), q > 3, with product matched to the
+    """The unipotent pair in SL_3(q), q >= 5, with product matched to the
     block-companion semisimple element of the construction.
 
     Returns (x, y, xy) with o(xy) = (q^2-1)/gcd(2, q-1).  For even q this
@@ -649,9 +649,15 @@ def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]
     admissible multiplier caps the product order at (q^2-1)/2.  Among the
     multipliers m outside {mu + 1/mu} with both solved parameters nonzero,
     the least one attaining that order is chosen.
+
+    verify_triple certifies that x and y generate SL_3(q) for q = 5, 7, 8,
+    9 and 11; larger fields are unchecked.  Over GF(4) the pair generates
+    only a subgroup of order 1080, so q = 4 is refused.
     """
     if q <= 3:
         raise BadField("construction needs q > 3")
+    if q == 4:
+        raise BadField("over GF(4) the pair generates a proper subgroup of order 1080")
     ctx = get_field_of_order(q)
     lam = multiplicative_generator(ctx)
     excluded = {(mu + mu.inverse()).code for mu in ctx.elements() if mu.code}

@@ -13,6 +13,11 @@ generation certificates used by the Beauville predicates all come from it.
 A build may also stop as soon as the product of its transversal sizes
 reaches a known order: for H = <gens> that product is a lower bound on |H|
 at every stage, so reaching |G| for some G containing H proves H = G.
+
+Conjugacy classes are closed a whole breadth-first layer at a time on
+numpy arrays of image rows and kept as packed rows (PackedClass), which
+membership tests and structure constants use without building
+Permutations.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .ffield import FieldCtx
 from .matgrp import SquareMatrix
@@ -125,6 +132,26 @@ class Permutation:
         for c in self.cycles():
             out = out * len(c) // math.gcd(out, len(c))
         return out
+
+    def has_order(self, n: int) -> bool:
+        """Whether the order is exactly n.  Stops at the first cycle whose
+        length does not divide n, so most wrong orders cost a partial walk."""
+        images = self.images
+        seen = bytearray(len(images))
+        out = 1
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                j = images[j]
+                length += 1
+            if n % length:
+                return False
+            out = out * length // math.gcd(out, length)
+        return out == n
 
     def __repr__(self) -> str:
         cyc = self.cycles()
@@ -382,25 +409,84 @@ def matrix_to_perm(gens: Sequence[SquareMatrix], action: str = "vectors",
 # conjugacy class orbits
 
 
-def class_orbit(g, gens: Sequence, cap: int = 200000):
-    """The conjugacy class of g under <gens> by orbit closure, or the
-    CAP_EXCEEDED sentinel.  Works for any hashable element type with `*`
-    and `.inverse()`."""
-    gen_pairs = [(h, h.inverse()) for h in gens]
-    orbit = {g}
-    frontier = [g]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for h, hinv in gen_pairs:
-                y = hinv * (x * h)
-                if y not in orbit:
-                    if len(orbit) >= cap:
+def class_orbit(g: Permutation, gens: Sequence[Permutation], cap: int = 200000):
+    """The conjugacy class of g under <gens> as a set of Permutations, or
+    the CAP_EXCEEDED sentinel when the class has more than cap elements.
+
+    The orbit closure runs on packed image rows (see packed_class); the
+    rows become Permutations once, at the end."""
+    found = packed_class(g, gens, cap)
+    return found if found is CAP_EXCEEDED else found.permutations()
+
+
+class PackedClass:
+    """A set of permutations of one degree held as packed image rows: each
+    element is the bytes of its image tuple in the narrowest unsigned type
+    (uint8 up to 256 points, uint16 up to 65,536)."""
+
+    def __init__(self, keys: set, dtype: np.dtype, degree: int):
+        self.keys = keys
+        self.dtype = dtype
+        self.degree = degree
+
+    def __contains__(self, p: Permutation) -> bool:
+        return self.pack(p) in self.keys
+
+    def pack(self, p: Permutation) -> bytes:
+        return np.array(p.images, self.dtype).tobytes()
+
+    def rows(self, keys) -> np.ndarray:
+        """Packed keys as the rows of a 2-D image array."""
+        return np.frombuffer(b"".join(keys), self.dtype).reshape(-1, self.degree)
+
+    def permutations(self) -> set:
+        # gathered from an array of the point objects, every image tuple
+        # shares one int object per point, as products of Permutations do
+        points = np.array(range(self.degree), dtype=object)
+        return set(map(_unchecked, map(tuple, points[self.rows(self.keys)].tolist())))
+
+    def count_quotients(self, z: Permutation, other: "PackedClass") -> int:
+        """|{a in self : a^-1 z in other}|.  All of self is inverted by one
+        scatter and composed with z by one gather, (a^-1 z)(i) = z[a^-1[i]]."""
+        a = self.rows(self.keys)
+        a_inv = np.empty_like(a)
+        a_inv[np.arange(len(a))[:, None], a] = np.arange(self.degree, dtype=self.dtype)
+        z_row = np.array(z.images, self.dtype)
+        return sum(key in other.keys for key in _row_keys(z_row[a_inv]))
+
+
+def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
+    """The conjugacy class of g under <gens> as a PackedClass, or
+    CAP_EXCEEDED when the class has more than cap elements.
+
+    Breadth-first orbit closure a whole layer at a time: the frontier is a
+    2-D array of image rows, and one gather h[F[:, h^-1]] conjugates every
+    row by h (row y = h^-1 x h has y[i] = h[x[h^-1[i]]])."""
+    cls = PackedClass(set(), np.min_scalar_type(g.degree - 1), g.degree)
+    keys = cls.keys
+    pairs = [(np.array(h.images, cls.dtype), np.array(h.inverse().images, np.intp))
+             for h in gens]
+    start = cls.pack(g)
+    keys.add(start)
+    frontier = cls.rows([start])
+    while len(frontier):
+        fresh = []
+        for h, hinv in pairs:
+            for key in _row_keys(h[frontier[:, hinv]]):
+                if key not in keys:
+                    if len(keys) >= cap:
                         return CAP_EXCEEDED
-                    orbit.add(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return orbit
+                    keys.add(key)
+                    fresh.append(key)
+        frontier = cls.rows(fresh)
+    return cls
+
+
+def _row_keys(rows: np.ndarray) -> List[bytes]:
+    """The rows of a 2-D image array, each packed as a key."""
+    packed = rows.tobytes()
+    step = rows.shape[1] * rows.itemsize
+    return [packed[i:i + step] for i in range(0, len(packed), step)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from .permgrp import (
     PointAction,
     ProductReplacer,
     RandomSource,
-    class_orbit,
     matrix_to_perm,
     orbit_partition,
+    packed_class,
     schreier_sims,
 )
 
@@ -280,13 +280,13 @@ def condition_iii(G: GroupHandle, t1: HyperbolicTriple, t2: HyperbolicTriple,
         vs = [(slot, v) for slot, v in enumerate((t2.x, t2.y, t2.z))
               if v.order() % r == 0]
         for u_slot, u in us:
-            orbit = class_orbit(_power_to_order(u, r), G.perm_gens, cap)
-            if orbit is CAP_EXCEEDED:
+            cls = packed_class(_power_to_order(u, r), G.perm_gens, cap)
+            if cls is CAP_EXCEEDED:
                 return Undecided(f"class orbit of an order-{r} power exceeds cap {cap}")
             for v_slot, v in vs:
                 v_r = _power_to_order(v, r)
                 for k in range(1, r):
-                    if v_r ** k in orbit:
+                    if v_r ** k in cls:
                         return Violation(r, u_slot, v_slot, k)
             checks.append((r, u_slot, len(vs)))
     return ClassChecked(tuple(checks))
@@ -346,18 +346,18 @@ def gow_search(G: GroupHandle, x0, target_order: Optional[int] = None,
         raise ValueError("x0 must be nontrivial")
     rs = RandomSource(seed)
     rep = G.replacer(rs)
-    target_orbit = None
+    target = None
     if target_class is not None:
-        target_orbit = class_orbit(target_class, G.perm_gens, cap)
-        if target_orbit is CAP_EXCEEDED:
+        target = packed_class(target_class, G.perm_gens, cap)
+        if target is CAP_EXCEEDED:
             return Exhausted(0, "target class orbit exceeds cap")
     for attempt in range(1, budget + 1):
         g = rep.random_element()
         y = x0.conjugate(g)
         prod = x0 * y
-        if target_order is not None and prod.order() != target_order:
+        if target_order is not None and not prod.has_order(target_order):
             continue
-        if target_orbit is not None and prod not in target_orbit:
+        if target is not None and prod not in target:
             continue
         if require_generation and not isinstance(verify_triple(G, x0, y), HyperbolicTriple):
             continue
@@ -419,7 +419,7 @@ def search_by_type(G: GroupHandle, type_lmn: Tuple[int, int, int],
             a, b = a2 or a, b2 or b
         g = rep.random_element()
         bg = b.conjugate(g)
-        if (a * bg).order() != n:
+        if not (a * bg).has_order(n):
             continue
         result = verify_triple(G, a, bg)
         if isinstance(result, HyperbolicTriple):
@@ -436,15 +436,12 @@ class CapExceededError(RuntimeError):
 
 
 def structure_constant(G: GroupHandle, c1, c2, z, cap: int = DEFAULT_CAP) -> int:
-    """|{(a, b) in c1^G x c2^G : a b = z}| by iterating over c1's class."""
-    orbit1 = class_orbit(c1, G.perm_gens, cap)
-    if orbit1 is CAP_EXCEEDED:
+    """|{(a, b) in c1^G x c2^G : a b = z}|, the number of a in c1's class
+    with a^-1 z in c2's class, counted over c1's packed class at once."""
+    class1 = packed_class(c1, G.perm_gens, cap)
+    if class1 is CAP_EXCEEDED:
         raise CapExceededError(f"class of c1 exceeds cap {cap}")
-    orbit2 = class_orbit(c2, G.perm_gens, cap)
-    if orbit2 is CAP_EXCEEDED:
+    class2 = packed_class(c2, G.perm_gens, cap)
+    if class2 is CAP_EXCEEDED:
         raise CapExceededError(f"class of c2 exceeds cap {cap}")
-    count = 0
-    for a in orbit1:
-        if a.inverse() * z in orbit2:
-            count += 1
-    return count
+    return class1.count_quotients(z, class2)

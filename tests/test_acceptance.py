@@ -291,6 +291,9 @@ def test_criterion_10_even_types_as_printed(q, lmn, psl_order):
     # exhaustive certificate over the full order-6 class products
     els = mulclose(G.perm_gens, cap=4000)
     sixes = [g for g in els if g.order() == 6]
+    # one class, so pairs (x, y) with x over any part of it cover every
+    # pair up to simultaneous conjugation
+    assert len(class_orbit(sixes[0], G.perm_gens)) == len(sixes)
     witness_orders = set()
     generating = 0
     for x in sixes[:30]:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 import beauville
-from beauville.matgrp import GroupSpec, standard_generators
+from beauville.matgrp import GroupSpec, standard_generators, suzuki_generators
 from beauville.permgrp import (
     CAP_EXCEEDED,
     BadN,
@@ -158,6 +158,70 @@ def test_class_orbit():
     orbit = class_orbit(g, alt5)
     assert 60 % len(orbit) == 0
     assert all(h.cycle_type() == g.cycle_type() for h in orbit)
+
+
+def reference_class(g, gens, cap):
+    """The class of g as image tuples, closed one element at a time."""
+    pairs = []
+    for h in gens:
+        hinv = [0] * h.degree
+        for i, j in enumerate(h.images):
+            hinv[j] = i
+        pairs.append((h.images, hinv))
+    orbit = {g.images}
+    frontier = [g.images]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for h, hinv in pairs:
+                y = tuple(h[x[i]] for i in hinv)  # h^-1 x h
+                if y not in orbit:
+                    if len(orbit) >= cap:
+                        return CAP_EXCEEDED
+                    orbit.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return orbit
+
+
+def test_class_orbit_matches_reference_closure():
+    sym4 = [cyc(4, (1, 2)), cyc(4, (1, 2, 3, 4))]
+    alt4 = [cyc(4, (1, 2, 3)), cyc(4, (2, 3, 4))]
+    alt5 = [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))]
+    sp43, _, _ = matrix_to_perm(standard_generators(GroupSpec("Sp", 4, 3)), "vectors")
+    sz8, _, _ = matrix_to_perm(list(suzuki_generators(8).generators), "projective")
+    cases = [(sym4, [cyc(4, (1, 2)), cyc(4, (1, 2), (3, 4))]),
+             (alt4, [cyc(4, (1, 2, 3))]),
+             (alt5, [cyc(5, (1, 2, 3, 4, 5)), cyc(5, (1, 2), (3, 4))])]
+    # degree 80 packs rows as uint8, degree 585 as uint16
+    for gens, count in ((sp43, 3), (sz8, 2)):
+        rep = ProductReplacer(gens, RandomSource(gens[0].degree))
+        cases.append((gens, [rep.random_element() for _ in range(count)]))
+    assert sp43[0].degree == 80 and sz8[0].degree == 585
+    for gens, elements in cases:
+        for g in elements:
+            want = reference_class(g, gens, cap=10 ** 5)
+            orbit = class_orbit(g, gens)
+            assert {h.images for h in orbit} == want
+            assert all(type(h) is Permutation and type(h.images) is tuple for h in orbit)
+            # the cap boundary: exactly cap elements is a class, one more is not
+            assert class_orbit(g, gens, cap=len(want)) == orbit
+            assert class_orbit(g, gens, cap=len(want) - 1) is CAP_EXCEEDED
+
+
+def test_has_order_matches_order():
+    gens, _, _ = matrix_to_perm(standard_generators(GroupSpec("Sp", 4, 3)), "vectors")
+    rep = ProductReplacer(gens, RandomSource(5))
+    seen = set()
+    for _ in range(3000):
+        g = rep.random_element()
+        o = g.order()
+        seen.add(o)
+        for n in range(1, 37):
+            assert g.has_order(n) == (o == n)
+    assert seen == {2, 3, 4, 5, 6, 8, 9, 10, 12, 18}
+    one = Permutation.identity(80)
+    assert one.has_order(1) and not one.has_order(2)
 
 
 def test_alt_triple_types():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from beauville.matgrp import GroupSpec, standard_generators
+from beauville.matgrp import BadField, GroupSpec, lineardim3_triple, standard_generators
 from beauville.permgrp import (
     Permutation,
     RandomSource,
@@ -41,6 +41,18 @@ def cyc(n, *cycles):
 
 def perm_handle(name, gens):
     return GroupHandle.from_permutations(name, gens)
+
+
+def test_lineardim3_pair_generates_sl3():
+    for q, lmn in ((5, (5, 5, 12)), (7, (7, 7, 24)), (8, (4, 2, 63)), (9, (3, 3, 40))):
+        G = GroupHandle.from_matrix_spec(GroupSpec("SL", 3, q))
+        x, y, _ = lineardim3_triple(q)
+        res = verify_triple(G, G.inject_matrix(x), G.inject_matrix(y))
+        assert isinstance(res, HyperbolicTriple), (q, res)
+        assert res.orders == lmn and res.certified_order == G.expected_order
+    # over GF(4) the pair generates a subgroup of order 1080 only
+    with pytest.raises(BadField, match="1080"):
+        lineardim3_triple(4)
 
 
 def test_verify_triple_diagnoses():
@@ -261,3 +273,25 @@ def test_structure_constant_alt5():
     assert len(cls1) == 12
     brute = sum(1 for a in cls1 for b in cls1 if a * b == other)
     assert got == brute > 0
+
+
+def test_structure_constant_matches_brute_force():
+    alt5 = perm_handle("Alt5", [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))])
+    reps = [cyc(5, (1, 2), (3, 4)), cyc(5, (1, 2, 3)), cyc(5, (1, 2, 3, 4, 5)),
+            cyc(5, (1, 3, 5, 2, 4))]
+    classes = [class_orbit(c, alt5.perm_gens) for c in reps]
+    for c1, cls1 in zip(reps, classes):
+        for c2, cls2 in zip(reps, classes):
+            for z in reps + [Permutation.identity(5)]:
+                brute = sum(1 for a in cls1 for b in cls2 if a * b == z)
+                assert structure_constant(alt5, c1, c2, z) == brute
+                assert structure_constant(alt5, c2, c1, z) == brute
+    # Sp(4, 3) on 80 vectors: count a in C1 with a^-1 z in C2 element by element
+    sp = GroupHandle.from_matrix_spec(GroupSpec("Sp", 4, 3))
+    c1, c2, c3 = (element_of_order(sp, k, seed=2) for k in (5, 3, 4))
+    for x, y, z in ((c1, c2, c1 * c2), (c1, c3, c1 * c3), (c2, c3, c1)):
+        clx = class_orbit(x, sp.perm_gens)
+        cly = class_orbit(y, sp.perm_gens)
+        brute = sum(1 for a in clx if a.inverse() * z in cly)
+        assert structure_constant(sp, x, y, z) == brute
+        assert structure_constant(sp, y, x, z) == brute
