@@ -1,11 +1,14 @@
-"""Double covers of the alternating groups inside a Clifford algebra.
+"""Double covers of the alternating groups acting on a spin module.
 
-The cover 2.Sym(n) is modelled on the 2^n monomials of the Clifford
-algebra with e_i^2 = -1 over GF(7): the lifted transposition
-t_i = (e_i - e_{i+1})/sqrt(2) squares to the central z = -1 and the braid
-relations hold on the nose, so the cover identities become exact sparse
-computations.  The lifts x = t_{n-1}...t_1 and y = t_1 t_1^(t_2...t_{n-1}) z
-project onto the n-cycle and a 3-cycle.
+The cover 2.Sym(n) lives in the Clifford algebra with e_i^2 = -1 over GF(7):
+the lifted transposition t_i = (e_i - e_{i+1})/sqrt(2) squares to the
+central z = -1 and the braid relations hold on the nose.  Over GF(7) the
+algebra splits, so it acts on a spin module of dimension 2^ceil(n/2), and
+each element is one such matrix: the cover identities become exact matrix
+products.  The module is faithful on the whole algebra (for n >= 5 it is
+enough that z acts as -I), and the 2^n coordinates on the monomials e_S
+stay available as the lazy view `.vec`.  The lifts x = t_{n-1}...t_1 and
+y = t_1 t_1^(t_2...t_{n-1}) z project onto the n-cycle and a 3-cycle.
 
 Run:  python demos/04_double_covers.py
 """
@@ -16,6 +19,8 @@ from beauville.covers import standard_xy, word
 print("Presentation check for n = 6 (verified on construction):")
 cover = build_cover(6)
 t, z = cover.t, cover.z
+print(f"  elements are {cover.ctx.d} x {cover.ctx.d} matrices; t_1.vec has "
+      f"{int((t[1].vec != 0).sum())} of {cover.ctx.dim} coordinates nonzero")
 print("  t_1^2 = z:", t[1] * t[1] == z)
 print("  (t_1 t_3)^2 = z:", (t[1] * t[3]) ** 2 == z)
 print("  braid:", t[2] * t[3] * t[2] == t[3] * t[2] * t[3])

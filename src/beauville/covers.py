@@ -1,17 +1,31 @@
-"""Double covers of Sym(n)/Alt(n) inside a Clifford algebra over GF(7).
+"""Double covers of Sym(n)/Alt(n) acting on a spin module over GF(7).
 
-The algebra on generators e_1..e_n with e_i^2 = -1 and e_i e_j = -e_j e_i
-is modelled on the 2^n basis monomials e_S (S a subset bitmask), with
-coefficients in GF(7) (the least odd prime containing a square root of 2,
-namely 3).  The lifted transpositions t_i = (e_i - e_{i+1}) / sqrt(2)
-satisfy t_i^2 = z, (t_i t_j)^2 = z for |i - j| > 1 and the braid relations,
-with the central z acting as the scalar -1, so all the double-cover
-identities become exact computations in the algebra.  Elements carry their
-projection to Sym(n) so that generation can be certified downstairs.
+The Clifford algebra on generators e_1..e_n with e_i^2 = -1 and
+e_i e_j = -e_j e_i, with coefficients in GF(7) (the least odd prime
+containing a square root of 2, namely 3), contains the cover: the lifted
+transpositions t_i = (e_i - e_{i+1}) / sqrt(2) satisfy t_i^2 = z,
+(t_i t_j)^2 = z for |i - j| > 1 and the braid relations, with the central z
+acting as the scalar -1, so all the double-cover identities become exact
+computations in the algebra.
+
+Over a finite field the algebra splits (Schur 1911; Lam, *Introduction to
+Quadratic Forms over Fields*, ch. V): with m = ceil(n/2), the rank-2m
+algebra is the full matrix algebra on a spin module of dimension d = 2^m,
+and the rank-n algebra sits inside it.  CliffordCtx builds d x d matrices
+gamma_1..gamma_n over GF(7) satisfying the Clifford relations, so an element
+of the cover is one d x d matrix and a product is one matrix product, where
+a product of 2^n-coefficient vectors costs O(4^n).  The module is faithful
+on the whole algebra, because the rank-2m algebra is simple of dimension d^2;
+in group terms, for n >= 5 every nontrivial normal subgroup of 2.Sym(n)
+contains z, and z acts as -I != I.  The 2^n coordinates on the basis
+monomials e_S (S a subset bitmask) stay available as the lazy view
+CoverElement.vec.  Elements carry their projection to Sym(n) so that
+generation can be certified downstairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -23,6 +37,9 @@ from .structures import REPIN_INTERVAL
 
 _P = 7
 _SQRT2 = 3  # 3*3 = 9 = 2 in GF(7)
+# anticommuting 2 x 2 matrices over GF(7), both squaring to -1
+_A = np.array([[0, 1], [-1, 0]])
+_B = np.array([[3, 2], [2, -3]])
 
 
 class RankOutOfRange(ValueError):
@@ -38,67 +55,149 @@ class ZNotExhibited(AssertionError):
     mathematical possibility)."""
 
 
+def _reduce(a: np.ndarray) -> np.ndarray:
+    """Integer entries (below 2^31 in size, possibly held as floats) mod 7."""
+    return (a.astype(np.int32) % _P).astype(np.int8)
+
+
+def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product mod 7 of int8 matrices (or stacks) with entries in 0..6.
+
+    Every sum formed in this module has at most 2^14 terms, each at most 36,
+    so float32 holds it exactly; the integer remainder is several times
+    cheaper than np.fmod on floats."""
+    return _reduce(np.matmul(a, b, dtype=np.float32))
+
+
+def _pack(mat: np.ndarray) -> bytes:
+    """An int8 d x d matrix with entries in 0..6, two entries per byte."""
+    return (mat[:, ::2] * 16 + mat[:, 1::2]).astype(np.uint8).tobytes()
+
+
+_NIBBLES = np.array([[b >> 4, b & 15] for b in range(256)], dtype=np.int8)
+
+
+def _unpack(data: bytes, d: int) -> np.ndarray:
+    return _NIBBLES.take(np.frombuffer(data, dtype=np.uint8), axis=0).reshape(d, d)
+
+
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    return functools.reduce(np.kron, factors)
+
+
 class CliffordCtx:
-    """Basis bookkeeping for the rank-n Clifford algebra over GF(7)."""
+    """The rank-n Clifford algebra over GF(7) on its spin module.
+
+    gammas[i] is the d x d matrix of e_{i+1}, d = 2^ceil(n/2), with entries
+    in 0..6; dim = 2^n is the number of algebra coordinates.
+    """
 
     def __init__(self, n: int):
         if not 3 <= n <= 14:
             raise RankOutOfRange("supported rank range is 3..14")
         self.n = n
         self.dim = 1 << n
-        par = np.zeros(self.dim, dtype=np.int8)
-        for v in range(1, self.dim):
-            par[v] = par[v >> 1] ^ (v & 1)
-        self._parity = par
-        self._idx = np.arange(self.dim, dtype=np.int64)
+        m = (n + 1) // 2
+        self.d = 1 << m
+        # the k-th pair K^(k-1) (x) {A, B} (x) I^(m-k), K = AB, squares to
+        # (-1)^k; for even k, 2g + 3h and 3g - 2h square to -1 and
+        # anticommute, because 2^2 + 3^2 = -1 in GF(7)
+        gammas = []
+        for k in range(1, m + 1):
+            g, h = (_kron([_A @ _B] * (k - 1) + [f] + [np.eye(2, dtype=int)] * (m - k))
+                    for f in (_A, _B))
+            gammas += [2 * g + 3 * h, 3 * g - 2 * h] if k % 2 == 0 else [g, h]
+        self.gammas = _reduce(np.array(gammas[:n]))
+        self.identity = np.eye(self.d, dtype=np.int8)
+        self.identity_data = _pack(self.identity)
+        # Clifford conjugation X -> C^-1 X^T C with C = A (x) B (x) A (x) ...;
+        # every factor squares to -1, so C^-1 = (-1)^m C
+        conj = _kron([_B if k % 2 else _A for k in range(m)])
+        self._conj = _reduce(conj)
+        self._conj_inv = _reduce((-1) ** m * conj)
+        minus_one = _reduce(-self.identity)
+        for i, g in enumerate(self.gammas):
+            later = self.gammas[i + 1:]
+            assert np.array_equal(_mat_mul(g, g), minus_one), i
+            assert np.array_equal(_mat_mul(g, later), _reduce(-_mat_mul(later, g))), i
+            assert np.array_equal(self.conjugation(g), _reduce(-g)), i
 
-    @staticmethod
-    def _sign_mask(s: int) -> int:
-        """K with eps(e_S, e_T) = (-1)^popcount(T & K): counts the
-        transpositions moving S past T plus the e_i^2 = -1 contractions.
+    def conjugation(self, mat: np.ndarray) -> np.ndarray:
+        """The anti-automorphism of the algebra with e_i -> -e_i."""
+        return _mat_mul(_mat_mul(self._conj_inv, mat.T), self._conj)
 
-        Bit t of the transposition part is the parity of the bits of S
-        above t, which is the inverse Gray code of s >> 1 (n <= 14 < 16)."""
-        k = s >> 1
-        k ^= k >> 1
-        k ^= k >> 2
-        k ^= k >> 4
-        k ^= k >> 8
-        return k ^ s  # the ^ s term adds popcount(S & T) from e_i^2 = -1
+    @functools.cached_property
+    def _monomials(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The matrices of the monomials e_lo in the first h = n // 2
+        generators (as columns and as one row of blocks) and e_hi in the
+        others (stacked), indexed by subset bitmask; and the factor +-1/d of
+        each coordinate, as e_S^-1 = +-e_S."""
+        def stack(gens: np.ndarray) -> np.ndarray:
+            out = self.identity[None]
+            for g in gens:  # e_(S + {i}) = e_S e_i for i above S
+                out = np.concatenate([out, _mat_mul(out, g)])
+            return out
+
+        h, d = self.n // 2, self.d
+        lo, hi = stack(self.gammas[:h]), stack(self.gammas[h:])
+        lo_cols = lo.transpose(0, 2, 1).reshape(len(lo), d * d).T.copy()
+        lo_rows = lo.transpose(1, 0, 2).reshape(d, len(lo) * d)
+        size = np.array([bin(s).count("1") for s in range(self.dim)])
+        scale = np.where(size * (size + 1) // 2 % 2, -1, 1) * pow(d, -1, _P)
+        return lo_cols, lo_rows, hi, scale
+
+    def to_vec(self, mat: np.ndarray) -> np.ndarray:
+        """The coordinates c_S = tr(e_S^-1 X) / d of a matrix X in the image
+        of the algebra, S = lo + 2^h hi: the trace of e_U vanishes for U
+        nonempty."""
+        lo_cols, _, hi, scale = self._monomials
+        right = _mat_mul(hi.reshape(-1, self.d), mat)  # the e_hi X, stacked
+        # tr(e_lo e_hi X) = sum_ij e_lo[i, j] (e_hi X)[j, i]
+        traces = _mat_mul(right.reshape(len(hi), -1), lo_cols)
+        return _reduce(traces.ravel() * scale)
+
+    def to_matrix(self, vec: np.ndarray) -> np.ndarray:
+        """The matrix of sum_S c_S e_lo e_hi."""
+        _, lo_rows, hi, _ = self._monomials
+        coeffs = _reduce(np.asarray(vec)).reshape(len(hi), -1)
+        partial = _mat_mul(coeffs.T, hi.reshape(len(hi), -1))  # sum over hi
+        return _mat_mul(lo_rows, partial.reshape(-1, self.d))
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int64)
-        for s in np.nonzero(a)[0]:
-            k = self._sign_mask(int(s))
-            signs = 1 - 2 * self._parity[self._idx & k].astype(np.int64)
-            out[self._idx ^ int(s)] += int(a[s]) * signs * b
-        return (out % _P).astype(np.int8)
+        """The algebra product of two coordinate vectors, exact because the
+        module is faithful on the whole algebra."""
+        return self.to_vec(_mat_mul(self.to_matrix(a), self.to_matrix(b)))
 
 
-@dataclass(frozen=True)
+_context = functools.lru_cache(maxsize=None)(CliffordCtx)
+
+
+@dataclass(frozen=True, slots=True)
 class CoverElement:
-    """A group element of the cover: algebra vector, its inverse, and the
-    projected permutation (with inverse) in Sym(n)."""
+    """A group element of the cover: its matrix on the spin module, packed
+    two entries per byte, and the projected permutation in Sym(n).
+
+    Packing halves the memory of the elements that callers keep, such as
+    triples and search results; products unpack their operands."""
 
     ctx: CliffordCtx
-    vec: np.ndarray
-    inv_vec: np.ndarray
+    data: bytes
     perm: Permutation
-    inv_perm: Permutation
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The d x d matrix, int8 with entries in 0..6."""
+        return _unpack(self.data, self.ctx.d)
 
     def __mul__(self, other: "CoverElement") -> "CoverElement":
-        ctx = self.ctx
-        return CoverElement(
-            ctx,
-            ctx.mul_vec(self.vec, other.vec),
-            ctx.mul_vec(other.inv_vec, self.inv_vec),
-            self.perm * other.perm,
-            other.inv_perm * self.inv_perm,
-        )
+        return CoverElement(self.ctx, _pack(_mat_mul(self.mat, other.mat)),
+                            self.perm * other.perm)
 
     def inverse(self) -> "CoverElement":
-        return CoverElement(self.ctx, self.inv_vec, self.vec,
-                            self.inv_perm, self.perm)
+        # Clifford conjugation sends t_i to -t_i = t_i^-1 and fixes z = -1,
+        # so it inverts every product of them
+        return CoverElement(self.ctx, _pack(self.ctx.conjugation(self.mat)),
+                            self.perm.inverse())
 
     def conjugate(self, g: "CoverElement") -> "CoverElement":
         return g.inverse() * self * g
@@ -115,22 +214,25 @@ class CoverElement:
             e >>= 1
         return result
 
+    @property
+    def vec(self) -> np.ndarray:
+        """The 2^n coordinates on the basis monomials e_S, computed on
+        demand."""
+        return self.ctx.to_vec(self.mat)
+
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CoverElement)
-                and np.array_equal(self.vec, other.vec))
+        return (isinstance(other, CoverElement) and self.ctx.n == other.ctx.n
+                and self.data == other.data)
 
     def __hash__(self) -> int:
-        return hash(self.vec.tobytes())
+        return hash(self.data)
 
     def is_identity(self) -> bool:
-        return self.vec[0] == 1 and not self.vec[1:].any()
+        return self.data == self.ctx.identity_data
 
 
 def identity_element(ctx: CliffordCtx) -> CoverElement:
-    vec = np.zeros(ctx.dim, dtype=np.int8)
-    vec[0] = 1
-    ident = Permutation.identity(ctx.n)
-    return CoverElement(ctx, vec, vec.copy(), ident, ident)
+    return CoverElement(ctx, ctx.identity_data, Permutation.identity(ctx.n))
 
 
 class Cover:
@@ -156,22 +258,13 @@ class Cover:
 
 def build_cover(n: int) -> Cover:
     """Construct 2.Sym(n) generators and verify the presentation relations."""
-    ctx = CliffordCtx(n)
-    inv_sqrt2 = pow(_SQRT2, _P - 2, _P)
-    gens: List[CoverElement] = []
-    for i in range(1, n):
-        vec = np.zeros(ctx.dim, dtype=np.int8)
-        vec[1 << (i - 1)] = inv_sqrt2
-        vec[1 << i] = (-inv_sqrt2) % _P
-        # t_i^2 = z and z^2 = 1, so t_i^-1 = -t_i
-        inv_vec = (-vec) % _P
-        perm = Permutation.from_cycles(n, [(i, i + 1)])
-        gens.append(CoverElement(ctx, vec.astype(np.int8),
-                                 inv_vec.astype(np.int8), perm, perm))
-    zvec = np.zeros(ctx.dim, dtype=np.int8)
-    zvec[0] = _P - 1
-    ident = Permutation.identity(n)
-    z = CoverElement(ctx, zvec, zvec.copy(), ident, ident)
+    ctx = _context(n)
+    inv_sqrt2 = pow(_SQRT2, -1, _P)
+    gam = ctx.gammas.astype(int)
+    gens = [CoverElement(ctx, _pack(_reduce(inv_sqrt2 * (gam[i - 1] - gam[i]))),
+                         Permutation.from_cycles(n, [(i, i + 1)]))
+            for i in range(1, n)]
+    z = CoverElement(ctx, _pack(_reduce(-ctx.identity)), Permutation.identity(n))
     cover = Cover(ctx, gens, z)
     _verify_presentation(cover)
     return cover
@@ -218,7 +311,7 @@ def standard_xy(cover: Cover) -> Tuple[CoverElement, CoverElement]:
     return x, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverSuiteRow:
     n: int
     y_order: int
@@ -241,7 +334,7 @@ def order3_xsimz_suite(n_values: Sequence[int]) -> List[CoverSuiteRow]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoddResult:
     n: int
     uses_xz: bool  # False: (x, y, xy) has type (n, 3, n); True: (xz, y, xyz)

@@ -134,14 +134,82 @@ def test_cover_order_beyond_4n():
         assert (v ** cover_order(v)).is_identity()
 
 
-def test_sign_mask_closed_form():
-    def reference(n, s):
-        k = 0
-        for t in range(n):
-            if bin(s >> (t + 1)).count("1") & 1:  # elements of S above t
-                k ^= 1 << t
-        return k ^ s
+def _basis_sign(s, t):
+    """e_S e_T = sign * e_(S ^ T): (-1) for each generator of T passed by a
+    larger one of S, and for each e_i^2 = -1 contraction."""
+    k = 0
+    for i in range(s.bit_length()):
+        if bin(s >> (i + 1)).count("1") & 1:  # elements of S above i
+            k ^= 1 << i
+    return -1 if bin(t & (k ^ s)).count("1") & 1 else 1
 
-    for n in range(3, 15):
+
+def _sparse_clifford_mul(a, b):
+    """Reference product of two coordinate vectors over their nonzero terms."""
+    out = np.zeros(len(a), dtype=np.int64)
+    b_terms = [(t, int(b[t])) for t in np.nonzero(b)[0]]
+    for s in np.nonzero(a)[0]:
+        for t, cb in b_terms:
+            out[s ^ t] += _basis_sign(int(s), int(t)) * int(a[s]) * cb
+    return out % 7
+
+
+def test_mul_vec_on_basis_monomials():
+    for n in range(3, 8):
         ctx = CliffordCtx(n)
-        assert all(ctx._sign_mask(s) == reference(n, s) for s in range(ctx.dim)), n
+        units = np.eye(ctx.dim, dtype=np.int8)
+        for s in range(ctx.dim):
+            for t in range(ctx.dim):
+                expected = np.zeros(ctx.dim, dtype=np.int8)
+                expected[s ^ t] = _basis_sign(s, t) % 7
+                assert np.array_equal(ctx.mul_vec(units[s], units[t]), expected), (n, s, t)
+
+
+def test_spin_module_matches_reference():
+    rs = RandomSource(12)
+    for n in range(3, 13):
+        cover = build_cover(n)
+        u = word(cover, [1 + rs.randrange(n - 1) for _ in range(6)])
+        v = word(cover, [1 + rs.randrange(n - 1) for _ in range(5)])
+        assert np.array_equal((u * v).vec, _sparse_clifford_mul(u.vec, v.vec)), n
+        assert (u * u.inverse()).is_identity()
+        assert np.array_equal(cover.ctx.to_matrix(u.vec), u.mat)
+    for n in (13, 14):
+        build_cover(n)  # raises unless the presentation relations hold
+
+
+# projections of neven_search's pairs and nodd_triple's choices, recorded
+# when products ran on 2^n-coefficient vectors
+NEVEN_GOLDEN = {
+    (6, 0): [(0, 2, 4, 1, 5, 3), (1, 3, 2, 4, 5, 0)],
+    (6, 1): [(2, 5, 3, 1, 4, 0), (1, 3, 2, 4, 5, 0)],
+    (6, 2): [(1, 3, 5, 2, 4, 0), (1, 4, 3, 0, 2, 5)],
+    (6, 3): [(1, 5, 4, 3, 0, 2), (2, 0, 4, 1, 3, 5)],
+    (6, 4): [(3, 0, 4, 2, 1, 5), (0, 2, 3, 5, 1, 4)],
+    (6, 5): [(2, 5, 1, 3, 0, 4), (5, 1, 0, 2, 3, 4)],
+    (8, 0): [(0, 7, 2, 5, 4, 1, 3, 6), (3, 5, 1, 2, 0, 6, 4, 7)],
+    (8, 1): [(0, 3, 2, 4, 6, 1, 5, 7), (2, 1, 4, 0, 7, 6, 3, 5)],
+    (8, 2): [(2, 1, 6, 3, 0, 5, 7, 4), (1, 3, 2, 7, 0, 4, 5, 6)],
+    (8, 3): [(3, 1, 2, 5, 4, 7, 0, 6), (0, 2, 3, 5, 6, 4, 7, 1)],
+    (10, 0): [(0, 4, 5, 3, 6, 1, 2, 7, 8, 9), (6, 0, 2, 1, 5, 9, 4, 3, 7, 8)],
+    (10, 1): [(0, 4, 7, 2, 3, 5, 6, 1, 8, 9), (6, 4, 3, 1, 9, 0, 2, 7, 5, 8)],
+    (10, 2): [(5, 1, 4, 3, 6, 2, 0, 7, 8, 9), (1, 2, 5, 0, 3, 9, 6, 4, 7, 8)],
+    (10, 3): [(2, 3, 1, 7, 4, 5, 6, 0, 8, 9), (3, 1, 0, 7, 2, 8, 4, 5, 9, 6)],
+}
+NODD_GOLDEN = {7: (False, "(u^2v)^k with k=3"), 9: (False, "(uv^-1)^k with k=7"),
+               11: (True, "([u,v])^k with k=3")}
+
+
+def test_search_results_match_golden_values():
+    for (n, seed), expected in NEVEN_GOLDEN.items():
+        a, b = neven_search(n, seed=seed)
+        assert [a.perm.images, b.perm.images] == expected, (n, seed)
+    for n, expected in NODD_GOLDEN.items():
+        res = nodd_triple(n)
+        assert (res.uses_xz, res.z_word) == expected, n
+
+
+def test_neven_search_n10():
+    a, b = neven_search(10, seed=0)
+    assert (cover_order(a), cover_order(b), cover_order(a * b)) == (5, 9, 9)
+    assert schreier_sims([a.perm, b.perm]).order() == math.factorial(10) // 2
