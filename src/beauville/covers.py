@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .matgrp import binary_power
 from .permgrp import Permutation, RandomSource, schreier_sims
 from .structures import REPIN_INTERVAL
 
@@ -203,16 +204,7 @@ class CoverElement:
         return g.inverse() * self * g
 
     def __pow__(self, e: int) -> "CoverElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = identity_element(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, identity_element(self.ctx))
 
     @property
     def vec(self) -> np.ndarray:

@@ -47,6 +47,23 @@ class NoAdmissibleLambda(AssertionError):
 # matrices
 
 
+def binary_power(x, e: int, one):
+    """x ** e by repeated squaring, for any element type with `*` and
+    `.inverse()`; one is the identity, returned for e = 0.  No product
+    involves the identity and no squaring follows the top bit, so e > 0
+    costs bit_length(e) - 1 squarings and popcount(e) - 1 products."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return one if result is None else result
+
+
 class SquareMatrix:
     """Immutable d x d matrix over a FieldCtx, entries stored as codes."""
 
@@ -93,16 +110,7 @@ class SquareMatrix:
         return SquareMatrix(ctx, out)
 
     def __pow__(self, e: int) -> "SquareMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = SquareMatrix.identity(self.ctx, self.d)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, SquareMatrix.identity(self.ctx, self.d))
 
     def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
         """Row vector action v -> v*M on code vectors."""

@@ -1,7 +1,11 @@
 """Permutation groups with base/strong-generating-set certificates.
 
-Permutations are stored 0-based as image tuples and compose left to right
-((p * q)(i) = q[p[i]]), matching the row-vector matrix action.  The public
+Permutations act on 0..n-1 and compose left to right ((p * q)(i) = q[p[i]]),
+matching the row-vector matrix action.  Each is stored as the bytes of its
+0-based image row in the narrowest unsigned type: uint8 up to 256 points,
+where a product is one bytes.translate and an inverse one bytes.maketrans,
+and uint16 above, where a product is one numpy gather and an inverse one
+scatter.  `.images` is a read-only tuple view of the row.  The public
 constructor validates its input; products, inverses and identities are
 built unchecked, since they are permutations by construction.
 
@@ -15,13 +19,14 @@ reaches a known order: for H = <gens> that product is a lower bound on |H|
 at every stage, so reaching |G| for some G containing H proves H = G.
 
 Conjugacy classes are closed a whole breadth-first layer at a time on
-numpy arrays of image rows and kept as packed rows (PackedClass), which
-membership tests and structure constants use without building
-Permutations.
+numpy arrays of image rows and kept as packed rows (PackedClass) in the
+same byte format, so membership tests and structure constants use the
+elements' own bytes, and class rows become Permutations with no copy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -29,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ffield import FieldCtx
-from .matgrp import SquareMatrix
+from .matgrp import SquareMatrix, binary_power
 
 
 class TooManyPoints(ValueError):
@@ -44,18 +49,25 @@ CAP_EXCEEDED = object()  # sentinel returned by class_orbit when over cap
 
 
 class Permutation:
-    """A permutation of 0..n-1 as an image tuple."""
+    """A permutation of 0..n-1, stored as the bytes of its image row in the
+    narrowest unsigned type (uint8 up to 256 points, uint16 up to 65,536).
 
-    __slots__ = ("images",)
+    The stored bytes are exactly a PackedClass row.  `images` is a read-only
+    tuple view of them; `_points()` is an indexable view for point lookups.
+    """
+
+    __slots__ = ("_data", "degree")
 
     def __init__(self, images: Sequence[int]):
-        self.images = tuple(images)
-        if set(self.images) != set(range(len(self.images))):
+        images = tuple(images)
+        if set(images) != set(range(len(images))):
             raise ValueError("not a permutation")
+        self.degree = len(images)
+        self._data = np.array(images, _dtype(self.degree)).tobytes()
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return _unchecked(tuple(range(n)))
+        return _unchecked(_identity_bytes(n), n)
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]],
@@ -68,30 +80,35 @@ class Permutation:
         return cls(img)
 
     @property
-    def degree(self) -> int:
-        return len(self.images)
+    def images(self) -> Tuple[int, ...]:
+        return tuple(self._points())
+
+    def _points(self):
+        """The images as an indexable sequence of ints: the bytes themselves
+        for uint8, a memoryview cast for wider rows."""
+        if self.degree <= 256:
+            return self._data
+        return memoryview(self._data).cast(_dtype(self.degree).char)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        q = other.images
-        return _unchecked(tuple([q[i] for i in self.images]))
+        # (p * q)[i] = q[p[i]]: q's row, padded to a 256-byte table, is a
+        # translate table for p's bytes; wider rows gather in numpy
+        n = self.degree
+        if n <= 256:
+            return _unchecked(self._data.translate(other._data + _IDENT_BYTES[n:]), n)
+        return _unchecked(_row(other).take(_row(self)).tobytes(), n)
 
     def __pow__(self, e: int) -> "Permutation":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Permutation.identity(self.degree)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, Permutation.identity(self.degree))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return _unchecked(tuple(inv))
+        n = self.degree
+        if n <= 256:
+            # the table sending p[i] to i, cut back to n points
+            return _unchecked(bytes.maketrans(self._data, _identity_bytes(n))[:n], n)
+        inv = np.empty(n, _dtype(n))
+        inv[_row(self)] = _identity_row(n)
+        return _unchecked(inv.tobytes(), n)
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """self^g = g^-1 * self * g."""
@@ -99,15 +116,18 @@ class Permutation:
         return ginv * self * g
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return (isinstance(other, Permutation) and self.degree == other.degree
+                and self._data == other._data)
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        # the byte length fixes the degree, so equal bytes mean equal elements
+        return hash(self._data)
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        return self._data == _identity_bytes(self.degree)
 
     def cycles(self, skip_fixed: bool = True) -> List[Tuple[int, ...]]:
+        images = self._points()
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -115,11 +135,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen[start] = True
-            j = self.images[start]
+            j = images[start]
             while j != start:
                 seen[j] = True
                 cyc.append(j)
-                j = self.images[j]
+                j = images[j]
             if len(cyc) > 1 or not skip_fixed:
                 out.append(tuple(cyc))
         return out
@@ -136,16 +156,16 @@ class Permutation:
     def has_order(self, n: int) -> bool:
         """Whether the order is exactly n.  Stops at the first cycle whose
         length does not divide n, so most wrong orders cost a partial walk."""
-        images = self.images
-        seen = bytearray(len(images))
+        images = self._points()
+        seen = [False] * self.degree
         out = 1
-        for start in range(len(images)):
+        for start in range(self.degree):
             if seen[start]:
                 continue
             length = 0
             j = start
             while not seen[j]:
-                seen[j] = 1
+                seen[j] = True
                 j = images[j]
                 length += 1
             if n % length:
@@ -160,10 +180,32 @@ class Permutation:
         return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cyc)
 
 
-def _unchecked(images: Tuple[int, ...]) -> Permutation:
-    """A Permutation from an image tuple known to be a permutation."""
+_IDENT_BYTES = bytes(range(256))
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype(degree: int) -> np.dtype:
+    """The narrowest unsigned type holding the points 0..degree-1."""
+    return np.min_scalar_type(max(degree - 1, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_row(degree: int) -> np.ndarray:
+    row = np.arange(degree, dtype=_dtype(degree))
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_bytes(degree: int) -> bytes:
+    return _identity_row(degree).tobytes()
+
+
+def _unchecked(data: bytes, degree: int) -> Permutation:
+    """A Permutation from image bytes known to be a permutation."""
     p = object.__new__(Permutation)
-    p.images = images
+    p._data = data
+    p.degree = degree
     return p
 
 
@@ -171,6 +213,7 @@ def orbit_partition(gens: Sequence[Permutation]) -> Tuple[int, ...]:
     """For each point, the least point of its orbit under <gens>: two
     groups on the same points have equal orbits iff these tuples agree."""
     degree = gens[0].degree
+    rows = [g._points() for g in gens]
     label = [-1] * degree
     for start in range(degree):
         if label[start] >= 0:
@@ -179,8 +222,8 @@ def orbit_partition(gens: Sequence[Permutation]) -> Tuple[int, ...]:
         stack = [start]
         while stack:
             pt = stack.pop()
-            for g in gens:
-                img = g.images[pt]
+            for row in rows:
+                img = row[pt]
                 if label[img] < 0:
                     label[img] = start
                     stack.append(img)
@@ -217,7 +260,7 @@ class BSGS:
     def _strip(self, g: Permutation, from_level: int = 0) -> Tuple[Permutation, int]:
         h = g
         for level in range(from_level, len(self.base)):
-            pt = h.images[self.base[level]]
+            pt = h._points()[self.base[level]]
             trans = self.transversals[level]
             if pt not in trans:
                 return h, level
@@ -225,7 +268,8 @@ class BSGS:
         return h, len(self.base)
 
     def _add_base_point(self, g: Permutation) -> None:
-        moved = next(i for i in range(self.degree) if g.images[i] != i)
+        images = g._points()
+        moved = next(i for i in range(self.degree) if images[i] != i)
         self.base.append(moved)
         self.level_gens.append([])
         self.transversals.append({self.base[-1]: Permutation.identity(self.degree)})
@@ -243,10 +287,11 @@ class BSGS:
         Pushes the level's fresh Schreier generators rep * g * back^-1 onto
         stack as pending (rep, g, back, level + 1) entries."""
         trans = self.transversals[level]
-        gens = self._level_generators(level)
+        rows = [(g, g._points()) for g in self._level_generators(level)]
         frontier = []
+        h_images = h._points()
         for pt in list(trans):
-            img = h.images[pt]
+            img = h_images[pt]
             if img not in trans:
                 trans[img] = trans[pt] * h
                 frontier.append(img)
@@ -256,8 +301,8 @@ class BSGS:
             new_frontier = []
             for pt in frontier:
                 rep = trans[pt]
-                for g in gens:
-                    img = g.images[pt]
+                for g, images in rows:
+                    img = images[pt]
                     if img not in trans:
                         trans[img] = rep * g
                         new_frontier.append(img)
@@ -420,39 +465,34 @@ def class_orbit(g: Permutation, gens: Sequence[Permutation], cap: int = 200000):
 
 
 class PackedClass:
-    """A set of permutations of one degree held as packed image rows: each
-    element is the bytes of its image tuple in the narrowest unsigned type
-    (uint8 up to 256 points, uint16 up to 65,536)."""
+    """A set of permutations of one degree held as packed image rows.
 
-    def __init__(self, keys: set, dtype: np.dtype, degree: int):
+    Each key is the byte string a Permutation of that degree stores (uint8
+    rows up to 256 points, uint16 up to 65,536), so membership tests take
+    the element's own bytes and rows become Permutations with no copy."""
+
+    def __init__(self, keys: set, degree: int):
         self.keys = keys
-        self.dtype = dtype
         self.degree = degree
+        self.dtype = _dtype(degree)
 
     def __contains__(self, p: Permutation) -> bool:
-        return self.pack(p) in self.keys
-
-    def pack(self, p: Permutation) -> bytes:
-        return np.array(p.images, self.dtype).tobytes()
+        return p._data in self.keys
 
     def rows(self, keys) -> np.ndarray:
         """Packed keys as the rows of a 2-D image array."""
         return np.frombuffer(b"".join(keys), self.dtype).reshape(-1, self.degree)
 
     def permutations(self) -> set:
-        # gathered from an array of the point objects, every image tuple
-        # shares one int object per point, as products of Permutations do
-        points = np.array(range(self.degree), dtype=object)
-        return set(map(_unchecked, map(tuple, points[self.rows(self.keys)].tolist())))
+        return {_unchecked(key, self.degree) for key in self.keys}
 
     def count_quotients(self, z: Permutation, other: "PackedClass") -> int:
         """|{a in self : a^-1 z in other}|.  All of self is inverted by one
         scatter and composed with z by one gather, (a^-1 z)(i) = z[a^-1[i]]."""
         a = self.rows(self.keys)
         a_inv = np.empty_like(a)
-        a_inv[np.arange(len(a))[:, None], a] = np.arange(self.degree, dtype=self.dtype)
-        z_row = np.array(z.images, self.dtype)
-        return sum(key in other.keys for key in _row_keys(z_row[a_inv]))
+        a_inv[np.arange(len(a))[:, None], a] = _identity_row(self.degree)
+        return sum(key in other.keys for key in _row_keys(_row(z)[a_inv]))
 
 
 def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
@@ -462,13 +502,10 @@ def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
     Breadth-first orbit closure a whole layer at a time: the frontier is a
     2-D array of image rows, and one gather h[F[:, h^-1]] conjugates every
     row by h (row y = h^-1 x h has y[i] = h[x[h^-1[i]]])."""
-    cls = PackedClass(set(), np.min_scalar_type(g.degree - 1), g.degree)
+    cls = PackedClass({g._data}, g.degree)
     keys = cls.keys
-    pairs = [(np.array(h.images, cls.dtype), np.array(h.inverse().images, np.intp))
-             for h in gens]
-    start = cls.pack(g)
-    keys.add(start)
-    frontier = cls.rows([start])
+    pairs = [(_row(h), _row(h.inverse()).astype(np.intp)) for h in gens]
+    frontier = cls.rows(keys)
     while len(frontier):
         fresh = []
         for h, hinv in pairs:
@@ -480,6 +517,11 @@ def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
                     fresh.append(key)
         frontier = cls.rows(fresh)
     return cls
+
+
+def _row(p: Permutation) -> np.ndarray:
+    """A read-only 1-D image array over the element's own bytes."""
+    return np.frombuffer(p._data, _dtype(p.degree))
 
 
 def _row_keys(rows: np.ndarray) -> List[bytes]:

@@ -53,14 +53,17 @@ class GroupHandle:
     Matrix realizations also carry the point action and the family and
     field parameter q of their spec, which the explicit constructions need.
     The orbit partition and a complete BSGS, which verify_triple uses, are
-    computed on first use and kept.
+    computed on first use and kept; the realization constructors keep the
+    BSGS that certified the order.
     """
 
     def __init__(self, name: str, perm_gens: Sequence[Permutation],
-                 expected_order: int):
+                 expected_order: int, bsgs: Optional[BSGS] = None):
         self.name = name
         self.perm_gens = list(perm_gens)
         self.expected_order = expected_order
+        if bsgs is not None:
+            self.bsgs = bsgs  # fills the cached property
         self.family: Optional[str] = None
         self.q: Optional[int] = None
         self.action: Optional[PointAction] = None
@@ -71,10 +74,11 @@ class GroupHandle:
     @classmethod
     def from_permutations(cls, name: str, gens: Sequence[Permutation],
                           expected_order: Optional[int] = None) -> "GroupHandle":
-        order = schreier_sims(gens).order()
+        bsgs = schreier_sims(gens)
+        order = bsgs.order()
         if expected_order is not None and order != expected_order:
             raise ValueError(f"{name}: BSGS order {order} != declared {expected_order}")
-        return cls(name, gens, order)
+        return cls(name, gens, order, bsgs)
 
     @classmethod
     def from_matrix_spec(cls, spec: GroupSpec, cap: int = 10 ** 7,
@@ -101,11 +105,11 @@ class GroupHandle:
         else:
             action = "vectors" if center > 1 else "projective"
         perms, _, act = matrix_to_perm(gens, action, cap)
-        order = schreier_sims(perms).order()
-        if order != expected:
+        bsgs = schreier_sims(perms)
+        if bsgs.order() != expected:
             raise ValueError(
-                f"{name}: BSGS order {order} != formula/declared {expected}")
-        handle = cls(name, perms, expected)
+                f"{name}: BSGS order {bsgs.order()} != formula/declared {expected}")
+        handle = cls(name, perms, expected, bsgs)
         handle.family = spec.family
         handle.q = spec.q
         handle.action = act

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -231,4 +232,16 @@ def test_cli_canonical_report_determinism(tmp_path, capsys):
         assert main(["catalog", "--only", "Sp_4_3", "--canonical",
                      "--out", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
+    capsys.readouterr()
+
+
+# sha256 of `beauville catalog --canonical` on the shipped catalog; a change
+# made only for speed must leave this report byte-identical
+CANONICAL_REPORT_SHA256 = "67ed64f0b7f6c78e5220c1e8dbb11abec88fecee66c48ac0e49c11ab73e766c6"
+
+
+def test_cli_canonical_report_golden(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["catalog", "--canonical", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256
     capsys.readouterr()

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import beauville.covers as covers_module
 from beauville.covers import (
     CliffordCtx,
     RankOutOfRange,
@@ -15,6 +17,7 @@ from beauville.covers import (
     standard_xy,
     word,
 )
+from beauville.matgrp import GroupSpec, SquareMatrix, standard_generators
 from beauville.permgrp import Permutation, RandomSource, mulclose, schreier_sims
 
 
@@ -213,3 +216,38 @@ def test_neven_search_n10():
     a, b = neven_search(10, seed=0)
     assert (cover_order(a), cover_order(b), cover_order(a * b)) == (5, 9, 9)
     assert schreier_sims([a.perm, b.perm]).order() == math.factorial(10) // 2
+
+
+def test_powers_stop_squaring_after_the_top_bit(monkeypatch):
+    cover = build_cover(6)
+    u = cover.t[1] * cover.t[2] * cover.t[4]
+    M = standard_generators(GroupSpec("SL", 3, 5))[0]
+    elements = {"cover": u, "perm": u.perm, "matrix": M}
+    # x^1..x^8 by repeated multiplication, before the counters go in
+    powers = {}
+    for key, x in elements.items():
+        powers[key] = [x]
+        for _ in range(7):
+            powers[key].append(powers[key][-1] * x)
+    counts = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(covers_module, "_mat_mul", counting("cover", covers_module._mat_mul))
+    monkeypatch.setattr(Permutation, "__mul__", counting("perm", Permutation.__mul__))
+    monkeypatch.setattr(SquareMatrix, "__mul__", counting("matrix", SquareMatrix.__mul__))
+    # bit_length(e) - 1 squarings and popcount(e) - 1 products
+    expected = [0, 1, 2, 2, 3, 3, 4, 3]
+    for e in range(1, 9):
+        for key, x in elements.items():
+            counts.clear()
+            assert x ** e == powers[key][e - 1], (key, e)
+            # a cover product also multiplies the projections
+            want = Counter({key: expected[e - 1]})
+            if key == "cover":
+                want["perm"] = expected[e - 1]
+            assert +counts == +want, (key, e)

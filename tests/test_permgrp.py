@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 
 import pytest
 
@@ -17,9 +18,11 @@ from beauville.permgrp import (
     format_perm_file,
     matrix_to_perm,
     mulclose,
+    packed_class,
     parse_perm_file,
     schreier_sims,
 )
+from beauville.structures import GroupHandle
 
 
 def cyc(n, *cycles):
@@ -45,6 +48,101 @@ def test_permutation_basics():
     for t in (s * r, s.inverse(), s ** 5, Permutation.identity(6)):
         assert type(t.images) is tuple and Permutation(t.images) == t
     assert (s * r).images == tuple(r.images[i] for i in s.images)
+
+
+# a reference kernel on plain image tuples, composing left to right
+
+
+def ref_mul(p, q):
+    return tuple(q[i] for i in p)
+
+
+def ref_inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def ref_power(p, e):
+    if e < 0:
+        p, e = ref_inverse(p), -e
+    out = tuple(range(len(p)))
+    for _ in range(e):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_cycles(p):
+    seen, out = set(), []
+    for start in range(len(p)):
+        if start not in seen:
+            cyc, j = [start], p[start]
+            seen.add(start)
+            while j != start:
+                cyc.append(j)
+                seen.add(j)
+                j = p[j]
+            out.append(tuple(cyc))
+    return out
+
+
+# uint8 rows up to 256 points, uint16 from 257
+@pytest.mark.parametrize("degree", [1, 2, 7, 255, 256, 257, 624])
+def test_kernel_matches_tuple_reference(degree):
+    rng = random.Random(degree)
+    one = tuple(range(degree))
+    for _ in range(4):
+        a, b = (tuple(rng.sample(range(degree), degree)) for _ in range(2))
+        p, q = Permutation(a), Permutation(b)
+        assert type(p.images) is tuple and p.images == a and p.degree == degree
+        assert (p * q).images == ref_mul(a, b)
+        assert p.inverse().images == ref_inverse(a)
+        for e in (-3, -2, -1, 0, 1, 2, 3, 5, 8):
+            assert (p ** e).images == ref_power(a, e), e
+        assert p.conjugate(q).images == ref_mul(ref_mul(ref_inverse(b), a), b)
+        cycles = ref_cycles(a)
+        assert p.cycles(skip_fixed=False) == cycles
+        assert p.cycles() == [c for c in cycles if len(c) > 1]
+        assert p.cycle_type() == tuple(sorted(map(len, cycles), reverse=True))
+        order = math.lcm(*map(len, cycles))
+        assert p.order() == order
+        for n in range(1, 13):
+            assert p.has_order(n) == (order == n)
+        assert p.has_order(order)
+        assert p.is_identity() == (a == one)
+        assert (p * p.inverse()).is_identity() and (p ** order).is_identity()
+        # equality and hashing follow the images, however the element is built
+        for same in (Permutation(a), p * Permutation.identity(degree), p.inverse().inverse()):
+            assert same == p and hash(same) == hash(p) and same.images == a
+        assert (p == q) == (a == b)
+    assert Permutation.identity(degree).images == one
+    assert Permutation.identity(degree) != Permutation.identity(degree + 1)
+    assert len({Permutation.identity(degree), Permutation(one)}) == 1
+
+
+def test_class_rows_are_the_elements_products_build():
+    alt5 = [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))]
+    sl217 = GroupHandle.from_matrix_spec(GroupSpec("SL", 2, 17))
+    assert sl217.perm_gens[0].degree == 288
+    for gens in (alt5, sl217.perm_gens):
+        rep = ProductReplacer(gens, RandomSource(11))
+        for _ in range(3):
+            g, h = rep.random_element(), rep.random_element()
+            conj = g.conjugate(h)  # built by products
+            orbit = class_orbit(g, gens)
+            assert conj in orbit and conj in packed_class(g, gens, 10 ** 5)
+            (row,) = [x for x in orbit if x == conj]
+            assert row is not conj and hash(row) == hash(conj)
+            assert row.images == conj.images and row * h.inverse() == h.inverse() * g
+
+
+def test_bsgs_order_matches_closure_above_256_points():
+    G = GroupHandle.from_matrix_spec(GroupSpec("SL", 2, 17))
+    assert G.perm_gens[0].degree == 288 and G.expected_order == 4896
+    els = mulclose(G.perm_gens)
+    assert len(els) == G.bsgs.order() == schreier_sims(G.perm_gens).order() == 4896
+    assert all(G.bsgs.contains(g) for g in els)
 
 
 def test_bsgs_small():
