@@ -1,12 +1,33 @@
 """Arithmetic in GF(p^a) on a polynomial basis.
 
 A context fixes the modulus (the lexicographically least monic irreducible
-of degree a, coefficients low-degree-first) and, for fields of size up to
-2^16, builds exp/log tables over the least multiplicative generator so that
-products and inverses are table lookups.  Elements are immutable wrappers
-around an integer code sum(c_i * p^i); the coefficient vector is recovered
-by base-p digits.  "Least" always means lexicographic on the coefficient
-vector (c_0, c_1, ...), which keeps every choice made here reproducible.
+of degree a, coefficients low-degree-first).  Elements are immutable
+wrappers around an integer code sum(c_i * p^i); the coefficient vector is
+recovered by base-p digits.  "Least" always means lexicographic on the
+coefficient vector (c_0, c_1, ...), which keeps every choice made here
+reproducible.
+
+Arithmetic on codes is table lookups, built once per context:
+
+* Products: exp/log tables over the least multiplicative generator, with a
+  zero sentinel.  log[0] = 2(q - 1) and exp is zero from index 2(q - 1) on,
+  so exp[log[i] + log[j]] is i * j for every pair, zero included, with no
+  test.  Any other exponent offset must first be reduced mod q - 1: an
+  unreduced sum of logs can reach the zero region and read as zero.
+* Sums: the spread code.  spread[c] writes the base-p digits of c in radix
+  2p - 1 (radix 3 when p = 2), so spread[i] + spread[j] holds the digit
+  sums 0..2p-2 with no carry, and fold[spread[i] + spread[j]] is i + j.
+  fold has (2p - 1)^a entries: 2,025 for GF(529), 6,561 for GF(256) and
+  GF(625).  A flat q x q addition table would hold 390,625 for GF(625).
+* Negation: one table, neg[c] = -c.
+
+exp, log and neg are built for q <= 2^16, spread and fold when also
+(2p - 1)^a <= 2^18: every field of size up to 3,162, and so every field
+whose action in dimension 2 or more fits the default realization cap of
+10^7 points.  A larger field keeps the slower paths: polynomial products
+beyond 2^16, and base-p digit loops (XOR for p = 2) for sums where the
+fold table would be huge (p = 2 with a >= 12, say; no such field is built
+by the package).  Matrices over such a field are refused (see matgrp).
 """
 
 from __future__ import annotations
@@ -17,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .numtheory import factorize, is_prime
 
 _TABLE_LIMIT = 1 << 16
+_SPREAD_LIMIT = 1 << 18
 
 
 class NotInSubfield(ValueError):
@@ -104,6 +126,15 @@ def _least_irreducible(p: int, a: int) -> Tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _digit_map(images: Sequence[int], weights: Sequence[int]) -> List[int]:
+    """The table n -> sum(images[t_i] * weights[i]) over n = sum(t_i * r^i),
+    r = len(images): a digitwise map from radix r, indexed by n."""
+    table = [0]
+    for w in weights:
+        table = [c + t * w for t in images for c in table]
+    return table
+
+
 # ---------------------------------------------------------------------------
 # field context
 
@@ -128,7 +159,13 @@ def get_field_of_order(q: int) -> "FieldCtx":
 
 
 class FieldCtx:
-    """GF(p^a) with canonical modulus and table-backed arithmetic on codes."""
+    """GF(p^a) with canonical modulus and table-backed arithmetic on codes.
+
+    The tables (see the module docstring) are public so that the matrix
+    kernels in matgrp can read them without a method call per entry: exp,
+    log and neg are None when q > 2^16, spread and fold also when
+    (2p - 1)^a > 2^18.
+    """
 
     def __init__(self, p: int, a: int):
         if not is_prime(p):
@@ -141,8 +178,11 @@ class FieldCtx:
         self.modulus = _least_irreducible(p, a)
         self._weights = tuple(p ** i for i in range(a))
         self._order_fac = factorize(self.q - 1) if self.q > 2 else factorize(1)
-        self._exp: Optional[List[int]] = None
-        self._log: Optional[List[int]] = None
+        self.exp: Optional[List[int]] = None
+        self.log: Optional[List[int]] = None
+        self.neg: Optional[List[int]] = None
+        self.spread: Optional[List[int]] = None
+        self.fold: Optional[List[int]] = None
         self._gen_code: Optional[int] = None
         self._trace_zero: Optional[Tuple["FieldElement", ...]] = None
         if self.q <= _TABLE_LIMIT:
@@ -170,20 +210,26 @@ class FieldCtx:
         return self._encode(prod)
 
     def _build_tables(self) -> None:
-        q = self.q
+        p, a, q = self.p, self.a, self.q
         gen = self._find_generator()
         self._gen_code = gen
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
+        # exp is cyclic on [0, 2(q - 1)) and zero on [2(q - 1), 4(q - 1)],
+        # the range of log[i] + log[j] once either log is the sentinel
+        exp = [0] * (4 * (q - 1) + 1)
+        log = [2 * (q - 1)] * q
         acc = 1
         for k in range(q - 1):
-            exp[k] = acc
+            exp[k] = exp[k + q - 1] = acc
             log[acc] = k
             acc = self._slow_mul(acc, gen)
-        for k in range(q - 1, 2 * (q - 1)):
-            exp[k] = exp[k - (q - 1)]
-        self._exp = exp
-        self._log = log
+        self.exp = exp
+        self.log = log
+        weights = self._weights
+        self.neg = _digit_map([-t % p for t in range(p)], weights)
+        radix = 2 * p - 1  # a digit sum of two codes is at most 2p - 2
+        if radix ** a <= _SPREAD_LIMIT:
+            self.spread = _digit_map(range(p), [radix ** i for i in range(a)])
+            self.fold = _digit_map([t % p for t in range(radix)], weights)
 
     def _find_generator(self) -> int:
         # least code in lex coefficient order whose order is q - 1
@@ -255,13 +301,13 @@ class FieldCtx:
         return self._trace_zero
 
     def mul_code(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[i] + self._log[j]]
+        if self.exp is not None:
+            return self.exp[self.log[i] + self.log[j]]
         return self._slow_mul(i, j)
 
     def add_code(self, i: int, j: int) -> int:
+        if self.fold is not None:
+            return self.fold[self.spread[i] + self.spread[j]]
         p = self.p
         if p == 2:
             return i ^ j
@@ -273,6 +319,8 @@ class FieldCtx:
         return out
 
     def neg_code(self, i: int) -> int:
+        if self.neg is not None:
+            return self.neg[i]
         p = self.p
         if p == 2:
             return i
@@ -285,8 +333,8 @@ class FieldCtx:
     def inv_code(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[i]) % (self.q - 1)]
+        if self.exp is not None:
+            return self.exp[self.q - 1 - self.log[i]]
         return self._slow_pow(i, self.q - 2)
 
     def pow_code(self, i: int, e: int) -> int:
@@ -294,8 +342,8 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("field inverse of zero")
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[(self._log[i] * e) % (self.q - 1)]
+        if self.exp is not None:
+            return self.exp[(self.log[i] * e) % (self.q - 1)]
         if e < 0:
             return self._slow_pow(self.inv_code(i), -e)
         return self._slow_pow(i, e)

@@ -65,20 +65,39 @@ def binary_power(x, e: int, one):
 
 
 class SquareMatrix:
-    """Immutable d x d matrix over a FieldCtx, entries stored as codes."""
+    """Immutable d x d matrix over a FieldCtx, entries stored as codes.
+
+    The kernels (products, the vector action, elimination, Frobenius,
+    charpoly) read the context's exp/log, spread/fold and neg tables
+    directly, so the field must have them: see ffield for which fields do.
+    Results built here skip the row checks of __init__.
+    """
 
     __slots__ = ("ctx", "d", "rows")
 
     def __init__(self, ctx: FieldCtx, rows: Sequence[Sequence[int]]):
+        if ctx.fold is None:
+            raise ValueError(f"matrices over {ctx!r} are not supported: "
+                             "its addition table would be too large")
         self.ctx = ctx
-        self.rows = tuple(tuple(r) for r in rows)
-        self.d = len(self.rows)
-        if any(len(r) != self.d for r in self.rows):
+        self.rows = tuple(map(tuple, rows))
+        self.d = d = len(self.rows)
+        if d and set(map(len, self.rows)) != {d}:
             raise ValueError("matrix must be square")
+        if d and not (min(map(min, self.rows)) >= 0 and max(map(max, self.rows)) < ctx.q):
+            raise ValueError(f"matrix entries must be codes in range({ctx.q})")
+
+    @classmethod
+    def _unchecked(cls, ctx: FieldCtx, rows: Tuple[Tuple[int, ...], ...]) -> "SquareMatrix":
+        M = cls.__new__(cls)
+        M.ctx, M.rows, M.d = ctx, rows, len(rows)
+        return M
 
     @classmethod
     def from_elements(cls, ctx: FieldCtx, rows: Sequence[Sequence] ) -> "SquareMatrix":
-        return cls(ctx, [[ctx.element(v).code for v in row] for row in rows])
+        p = ctx.p
+        return cls(ctx, [[v % p if type(v) is int else ctx.element(v).code for v in row]
+                         for row in rows])
 
     @classmethod
     def identity(cls, ctx: FieldCtx, d: int) -> "SquareMatrix":
@@ -95,19 +114,20 @@ class SquareMatrix:
         if self.ctx is not other.ctx:
             raise ValueError("mixed field contexts")
         ctx = self.ctx
-        mul, add = ctx.mul_code, ctx.add_code
-        cols = list(zip(*other.rows))
+        exp, log, spread, fold = ctx.exp, ctx.log, ctx.spread, ctx.fold
+        # the nonzero (k, log b_kj) of each column of other, listed once
+        cols = [[(k, log[b]) for k, b in enumerate(col) if b] for col in zip(*other.rows)]
         out = []
         for row in self.rows:
+            logs = [log[a] for a in row]
             new_row = []
             for col in cols:
                 acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
+                for k, lb in col:
+                    acc = fold[spread[acc] + spread[exp[logs[k] + lb]]]
                 new_row.append(acc)
-            out.append(new_row)
-        return SquareMatrix(ctx, out)
+            out.append(tuple(new_row))
+        return SquareMatrix._unchecked(ctx, tuple(out))
 
     def __pow__(self, e: int) -> "SquareMatrix":
         return binary_power(self, e, SquareMatrix.identity(self.ctx, self.d))
@@ -115,62 +135,61 @@ class SquareMatrix:
     def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
         """Row vector action v -> v*M on code vectors."""
         ctx = self.ctx
-        mul, add = ctx.mul_code, ctx.add_code
+        exp, log, spread, fold = ctx.exp, ctx.log, ctx.spread, ctx.fold
+        terms = [(log[v], row) for v, row in zip(vec, self.rows) if v]
         out = []
         for j in range(self.d):
             acc = 0
-            for i, v in enumerate(vec):
-                if v:
-                    m = self.rows[i][j]
-                    if m:
-                        acc = add(acc, mul(v, m))
+            for lv, row in terms:
+                acc = fold[spread[acc] + spread[exp[lv + log[row[j]]]]]
             out.append(acc)
         return tuple(out)
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(self.ctx, list(zip(*self.rows)))
+        return SquareMatrix._unchecked(self.ctx, tuple(zip(*self.rows)))
 
     def conjugate_entries(self, k: int) -> "SquareMatrix":
         """Apply the p^k-power field automorphism entrywise."""
-        pk = self.ctx.p ** (k % self.ctx.a)
-        pw = self.ctx.pow_code
-        return SquareMatrix(self.ctx, [[pw(v, pk) for v in row] for row in self.rows])
-
-    def _elimination(self) -> Tuple[List[List[int]], Optional[List[List[int]]], int]:
-        """Gauss-Jordan; returns (reduced, inverse or None, det code)."""
         ctx = self.ctx
-        mul, add, inv, neg = ctx.mul_code, ctx.add_code, ctx.inv_code, ctx.neg_code
+        exp, log, m = ctx.exp, ctx.log, ctx.q - 1
+        pk = ctx.p ** (k % ctx.a)
+        return SquareMatrix._unchecked(ctx, tuple(
+            tuple(exp[log[v] * pk % m] if v else 0 for v in row) for row in self.rows))
+
+    def _elimination(self) -> Tuple[Optional[List[List[int]]], int]:
+        """Gauss-Jordan on [M | I]; returns (inverse rows or None, det code)."""
+        ctx = self.ctx
+        exp, log, spread, fold, neg = ctx.exp, ctx.log, ctx.spread, ctx.fold, ctx.neg
+        m1 = ctx.q - 1
         n = self.d
-        m = [list(r) for r in self.rows]
-        aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
         det = 1
         for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col]), None)
+            pivot = next((r for r in range(col, n) if rows[r][col]), None)
             if pivot is None:
-                return m, None, 0
+                return None, 0
             if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-                det = neg(det)
-            pv = inv(m[col][col])
-            det = mul(det, m[col][col])
-            m[col] = [mul(pv, v) for v in m[col]]
-            aug[col] = [mul(pv, v) for v in aug[col]]
+                rows[col], rows[pivot] = rows[pivot], rows[col]
+                det = neg[det]
+            lp = log[rows[col][col]]
+            det = exp[log[det] + lp]
+            linv = m1 - lp  # log of the pivot's inverse, in 1..q-1
+            pivot_row = rows[col] = [exp[linv + log[v]] for v in rows[col]]
             for r in range(n):
-                if r != col and m[r][col]:
-                    c = neg(m[r][col])
-                    m[r] = [add(v, mul(c, w)) for v, w in zip(m[r], m[col])]
-                    aug[r] = [add(v, mul(c, w)) for v, w in zip(aug[r], aug[col])]
-        return m, aug, det
+                if r != col and rows[r][col]:
+                    lc = log[neg[rows[r][col]]]
+                    rows[r] = [fold[spread[v] + spread[exp[lc + log[w]]]]
+                               for v, w in zip(rows[r], pivot_row)]
+        return [r[n:] for r in rows], det
 
     def det(self) -> FieldElement:
-        return self.ctx.from_code(self._elimination()[2])
+        return self.ctx.from_code(self._elimination()[1])
 
     def inverse(self) -> "SquareMatrix":
-        _, aug, det = self._elimination()
-        if aug is None:
+        inv, _ = self._elimination()
+        if inv is None:
             raise ZeroDivisionError("matrix is singular")
-        return SquareMatrix(self.ctx, aug)
+        return SquareMatrix._unchecked(self.ctx, tuple(map(tuple, inv)))
 
     def is_identity(self) -> bool:
         return all(v == (1 if i == j else 0)
@@ -188,36 +207,58 @@ class SquareMatrix:
 def charpoly(M: SquareMatrix) -> Tuple[int, ...]:
     """Monic characteristic polynomial det(wI - M), coefficient codes low first.
 
-    Expansion by rows with a column-subset table; exact over any field, no
-    divisions, fine for the small dimensions used here.
+    Hessenberg reduction followed by the Hessenberg recurrence (H. Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.2.9): O(d^3)
+    field operations, exact over any field.  The reduction is a chain of
+    similarities clearing column m - 1 below the subdiagonal: row i minus
+    u times row m, then column m plus u times column i.  When the pivot
+    h_{m,m-1} is zero, rows and columns m and i are first swapped for the
+    first i below it with h_{i,m-1} nonzero.
     """
     ctx, d = M.ctx, M.d
-    mul, add, neg = ctx.mul_code, ctx.add_code, ctx.neg_code
-
-    def padd(f: Tuple[int, ...], g: Tuple[int, ...]) -> Tuple[int, ...]:
-        if len(f) < len(g):
-            f, g = g, f
-        return tuple(add(a, b) for a, b in itertools.zip_longest(f, g, fillvalue=0))
-
-    table: Dict[int, Tuple[int, ...]] = {0: (1,)}
-    for i in range(d):
-        new_table: Dict[int, Tuple[int, ...]] = {}
-        for mask, poly in table.items():
-            for j in range(d):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                const = neg(M.rows[i][j])
-                term = tuple(mul(c, const) for c in poly)
-                if i == j:
-                    term = padd(term, (0,) + poly)
-                if bin(mask >> (j + 1)).count("1") & 1:
-                    term = tuple(neg(c) for c in term)
-                key = mask | bit
-                new_table[key] = padd(new_table[key], term) if key in new_table else term
-        table = new_table
-    out = table[(1 << d) - 1]
-    return out + (0,) * (d + 1 - len(out))
+    exp, log, spread, fold, neg = ctx.exp, ctx.log, ctx.spread, ctx.fold, ctx.neg
+    m1 = ctx.q - 1
+    H = [list(r) for r in M.rows]
+    for m in range(1, d - 1):
+        pivot = next((i for i in range(m, d) if H[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            H[m], H[pivot] = H[pivot], H[m]
+            for row in H:
+                row[m], row[pivot] = row[pivot], row[m]
+        row_m = H[m]
+        linv = m1 - log[row_m[m - 1]]
+        for i in range(m + 1, d):
+            h = H[i][m - 1]
+            if not h:
+                continue
+            lu = (log[h] + linv) % m1  # u = h / pivot; reduced, see ffield
+            lnu = log[neg[exp[lu]]]
+            H[i] = [fold[spread[v] + spread[exp[lnu + log[w]]]] for v, w in zip(H[i], row_m)]
+            for row in H:
+                row[m] = fold[spread[row[m]] + spread[exp[lu + log[row[i]]]]]
+    # p_m = (w - h_mm) p_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} p_{i-1}
+    polys = [[1]]
+    for m in range(d):
+        prev = polys[m]
+        lc = log[neg[H[m][m]]]
+        new = [0] + prev
+        for k, v in enumerate(prev):
+            new[k] = fold[spread[new[k]] + spread[exp[lc + log[v]]]]
+        lprod = 0
+        for i in range(m - 1, -1, -1):
+            sub = H[i + 1][i]
+            if not sub:
+                break
+            lprod += log[sub]
+            h = H[i][m]
+            if h:
+                lc = (log[neg[h]] + lprod) % m1
+                for k, v in enumerate(polys[i]):
+                    new[k] = fold[spread[new[k]] + spread[exp[lc + log[v]]]]
+        polys.append(new)
+    return tuple(polys[d])
 
 
 def order_of_matrix(M: SquareMatrix, exponent_multiple: Factorization) -> int:
@@ -624,7 +665,7 @@ def standard_generators(spec: GroupSpec) -> Tuple[SquareMatrix, ...]:
 # helpers give the printed quartic/cubic normalized to det(wI - M).
 
 
-def _poly_neg_normalize(ctx: FieldCtx, coeffs: Sequence[FieldElement], d: int) -> Tuple[int, ...]:
+def _poly_neg_normalize(ctx: FieldCtx, coeffs: Sequence[FieldElement]) -> Tuple[int, ...]:
     """Normalize printed coefficients (low first, possibly -monic) to monic."""
     codes = [c.code for c in coeffs]
     if codes[-1] != 1:
@@ -644,7 +685,7 @@ def lineardim3_charpoly(a: FieldElement, b: FieldElement) -> Tuple[int, ...]:
     """1 - (b+3-a)w + (3+b)w^2 - w^3, normalized monic."""
     ctx = a.ctx
     three = ctx.element(3)
-    return _poly_neg_normalize(ctx, [ctx.one, -(b + three - a), three + b, -ctx.one], 3)
+    return _poly_neg_normalize(ctx, [ctx.one, -(b + three - a), three + b, -ctx.one])
 
 
 def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -732,7 +773,7 @@ def u41_charpoly(e: FieldElement, b: FieldElement, c: FieldElement) -> Tuple[int
         n(2) * c * e + e * bq - n(4),
         ctx.one,
     ]
-    return _poly_neg_normalize(ctx, coeffs, 4)
+    return _poly_neg_normalize(ctx, coeffs)
 
 
 def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -799,7 +840,7 @@ def u3_charpoly(e: FieldElement, a: FieldElement, b: FieldElement) -> Tuple[int,
         b * e + n(3),
         -ctx.one,
     ]
-    return _poly_neg_normalize(ctx, coeffs, 3)
+    return _poly_neg_normalize(ctx, coeffs)
 
 
 def u3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -851,7 +892,7 @@ def sp42_charpoly_odd(a: FieldElement, b: FieldElement) -> Tuple[int, ...]:
     ctx = a.ctx
     n = ctx.element
     coeffs = [ctx.one, -(n(4) + a), n(6) + b + n(2) * a, -(n(4) + a), ctx.one]
-    return _poly_neg_normalize(ctx, coeffs, 4)
+    return _poly_neg_normalize(ctx, coeffs)
 
 
 def sp42_matrices_even(a: FieldElement, b: FieldElement, lam: FieldElement) -> Tuple[SquareMatrix, SquareMatrix]:
@@ -871,7 +912,7 @@ def sp42_charpoly_even(a: FieldElement, b: FieldElement, lam: FieldElement) -> T
     """w^4 + bw^3 + a^2(b lam + 1)w^2 + bw + 1."""
     ctx = a.ctx
     coeffs = [ctx.one, b, a * a * (b * lam + ctx.one), b, ctx.one]
-    return _poly_neg_normalize(ctx, coeffs, 4)
+    return _poly_neg_normalize(ctx, coeffs)
 
 
 def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:

@@ -16,6 +16,7 @@ can therefore be decided without factorizing anything big.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -48,7 +49,7 @@ def _small_primes(bound: int = _TRIAL_BOUND) -> List[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(bound + 1), sieve))
 
 
 _PRIMES: Optional[List[int]] = None

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from beauville.ffield import (
@@ -13,6 +15,7 @@ from beauville.ffield import (
     sqrt_element,
     trace_zero_sample,
 )
+from beauville.numtheory import factorize
 from beauville.permgrp import RandomSource
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 4),
@@ -145,3 +148,93 @@ def test_serialization_round_trip():
     for x in F.elements():
         assert parse_element(F, x.serialize()) == x
     assert F.element([2, 1]).serialize() == "2,1"
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against the digit loops and polynomial products it replaced
+
+SUITE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+# every field of the identity suites: q <= 25 and the quadratic extensions
+# up to GF(625); GF(2) and GF(256) are among them
+TABLE_FIELDS = sorted({(p, a * k) for q in SUITE_QS for p, a in factorize(q).factors
+                       for k in (1, 2)})
+
+
+def _digits(F, code):
+    return [code // F.p ** i % F.p for i in range(F.a)]
+
+
+def _ref_add(F, i, j):
+    return sum((x + y) % F.p * w for x, y, w in zip(_digits(F, i), _digits(F, j), F._weights))
+
+
+def _ref_neg(F, i):
+    return sum(-x % F.p * w for x, w in zip(_digits(F, i), F._weights))
+
+
+def _ref_mul(F, i, j):
+    """Schoolbook product of the coefficient vectors, reduced by the monic
+    modulus from the top degree down."""
+    p, a, f = F.p, F.a, F.modulus
+    prod = [0] * (2 * a - 1)
+    for s, x in enumerate(_digits(F, i)):
+        for t, y in enumerate(_digits(F, j)):
+            prod[s + t] = (prod[s + t] + x * y) % p
+    for k in range(2 * a - 2, a - 1, -1):
+        c = prod[k]
+        for t in range(a + 1):
+            prod[k - a + t] = (prod[k - a + t] - c * f[t]) % p
+    return sum(c * w for c, w in zip(prod, F._weights))
+
+
+def _check_pairs(F, pairs):
+    for i, j in pairs:
+        s, prod = _ref_add(F, i, j), _ref_mul(F, i, j)
+        assert F.add_code(i, j) == s and F.mul_code(i, j) == prod, (F, i, j)
+        x, y = F.from_code(i), F.from_code(j)
+        assert (x + y).code == s and (x * y).code == prod
+        assert (x - y).code == _ref_add(F, i, _ref_neg(F, j))
+
+
+def _sampled_pairs(F, count, seed):
+    rs = RandomSource(seed)
+    pairs = [(rs.randrange(F.q), rs.randrange(F.q)) for _ in range(count)]
+    return pairs + [(0, j) for j, _ in pairs[:20]] + [(i, 0) for i, _ in pairs[:20]]
+
+
+@pytest.mark.parametrize("p, a", TABLE_FIELDS)
+def test_table_arithmetic_matches_digit_reference(p, a):
+    F = get_field(p, a)
+    for i in range(F.q):
+        assert F.neg_code(i) == _ref_neg(F, i) == (-F.from_code(i)).code
+    if F.q <= 81:
+        pairs = itertools.product(range(F.q), repeat=2)
+    else:
+        pairs = _sampled_pairs(F, 3000, 100 * p + a)
+    _check_pairs(F, pairs)
+
+
+def test_table_layout():
+    for p, a in TABLE_FIELDS:
+        F = get_field(p, a)
+        q, radix = F.q, 2 * p - 1
+        # zero sentinel: exp reads zero wherever a zero's log is involved
+        assert F.log[0] == 2 * (q - 1) and len(F.exp) == 4 * (q - 1) + 1
+        assert not any(F.exp[2 * (q - 1):]) and all(F.exp[:2 * (q - 1)])
+        assert sorted(F.log[1:]) == list(range(q - 1))
+        # the spread code is the base-p digits read in radix 2p - 1
+        assert len(F.fold) == radix ** a
+        assert F.spread == [sum(t * radix ** k for k, t in enumerate(_digits(F, c)))
+                            for c in range(q)]
+    assert [len(get_field(p, a).fold) for p, a in [(5, 4), (23, 2), (2, 8)]] == [6561, 2025, 6561]
+
+
+def test_fields_without_fold_tables_keep_digit_loops():
+    # 3^12 and 5^8 fold entries: above the table limit, so sums fall back
+    # to XOR (p = 2) and base-p digit loops, while products keep exp/log
+    for p, a in [(2, 12), (3, 8)]:
+        F = get_field(p, a)
+        assert F.fold is None and F.spread is None and F.exp is not None
+        _check_pairs(F, _sampled_pairs(F, 500, p))
+        for i, _ in _sampled_pairs(F, 50, p + 1):
+            assert F.neg_code(i) == _ref_neg(F, i)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from beauville.ffield import get_field, multiplicative_generator
@@ -220,3 +222,189 @@ def test_spin_submodule_search():
     assert spin_submodule_search(list(gens)) is None
     scal = SquareMatrix.from_elements(get_field(5), [[2, 0], [0, 2]])
     assert spin_submodule_search([scal]) is not None
+
+
+# ---------------------------------------------------------------------------
+# table kernels against reference kernels kept here: products, determinants
+# and Frobenius through the field's methods (checked against digit loops and
+# polynomial products in test_ffield), and the column-subset charpoly the
+# Hessenberg recurrence replaced
+
+SUITE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+KERNEL_FIELDS = sorted({(p, a * k) for q in SUITE_QS for p, a in factorize(q).factors
+                        for k in (1, 2)})
+
+
+def _ref_sum(F, terms):
+    acc = 0
+    for t in terms:
+        acc = F.add_code(acc, t)
+    return acc
+
+
+def _ref_mul(F, A, B):
+    d = len(A)
+    return tuple(tuple(_ref_sum(F, [F.mul_code(A[i][k], B[k][j]) for k in range(d)])
+                       for j in range(d)) for i in range(d))
+
+
+def _ref_det(F, A):
+    """Leibniz expansion over all permutations."""
+    d, total = len(A), 0
+    for perm in itertools.permutations(range(d)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul_code(term, A[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total = F.add_code(total, F.neg_code(term) if inversions % 2 else term)
+    return total
+
+
+def _ref_charpoly(F, A):
+    """det(wI - A) by expansion along rows with a column-subset table."""
+    d = len(A)
+
+    def padd(f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        return tuple(F.add_code(a, b) for a, b in itertools.zip_longest(f, g, fillvalue=0))
+
+    table = {0: (1,)}
+    for i in range(d):
+        new_table = {}
+        for mask, poly in table.items():
+            for j in range(d):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                const = F.neg_code(A[i][j])
+                term = tuple(F.mul_code(c, const) for c in poly)
+                if i == j:
+                    term = padd(term, (0,) + poly)
+                if bin(mask >> (j + 1)).count("1") & 1:
+                    term = tuple(F.neg_code(c) for c in term)
+                key = mask | bit
+                new_table[key] = padd(new_table[key], term) if key in new_table else term
+        table = new_table
+    out = table[(1 << d) - 1]
+    return out + (0,) * (d + 1 - len(out))
+
+
+def _ref_power(F, x, e):
+    result = 1
+    while e:
+        if e & 1:
+            result = F.mul_code(result, x)
+        x, e = F.mul_code(x, x), e >> 1
+    return result
+
+
+def _kernel_pool(F, d, rs):
+    """Zero, identity, singular, nilpotent, triangular with zero subdiagonal,
+    permutation and monomial (Hessenberg pivot swaps), sparse and dense."""
+    q = F.q
+
+    def rand(nonzero=False):
+        return 1 + rs.randrange(q - 1) if nonzero else rs.randrange(q)
+
+    def build(entry):
+        return [[entry(i, j) for j in range(d)] for i in range(d)]
+
+    pool = [build(lambda i, j: 0), build(lambda i, j: int(i == j)),
+            build(lambda i, j: rand() if j > i else 0),              # strictly upper
+            build(lambda i, j: rand() if j < i else 0),              # strictly lower
+            build(lambda i, j: rand() if j >= i else 0),             # upper, zero subdiagonal
+            build(lambda i, j: rand() if rs.randrange(2) else 0),    # sparse
+            build(lambda i, j: rand() if rs.randrange(2) else 0)]
+    pool += [build(lambda i, j: rand()) for _ in range(3)]
+    singular = build(lambda i, j: rand())
+    # last row = first row + an earlier row (the zero row when d = 1)
+    singular[-1] = [F.add_code(a, b) if d > 1 else 0
+                    for a, b in zip(singular[0], singular[(d - 1) // 2])]
+    pool.append(singular)
+    perms = list(itertools.permutations(range(d)))
+    chosen = perms if len(perms) <= 6 else [perms[rs.randrange(len(perms))] for _ in range(4)]
+    for perm in chosen:
+        pool.append(build(lambda i, j: int(perm[i] == j)))
+    pool.append(build(lambda i, j: rand(nonzero=True) if perm[i] == j else 0))
+    return [SquareMatrix(F, rows) for rows in pool]
+
+
+@pytest.mark.parametrize("p, a", KERNEL_FIELDS)
+def test_kernels_match_reference(p, a):
+    F = get_field(p, a)
+    q, rs = F.q, RandomSource(1000 * p + a)
+    for d in range(1, 6):
+        ident = SquareMatrix.identity(F, d).rows
+        pool = _kernel_pool(F, d, rs)
+        dense = pool[7]
+        for M in pool:
+            A = M.rows
+            cp = charpoly(M)
+            assert cp == _ref_charpoly(F, A), (F, A)
+            if q <= 9:  # det(wI - M) at every w of the field
+                for w in range(q):
+                    shifted = [[F.add_code(w if i == j else 0, F.neg_code(v))
+                                for j, v in enumerate(row)] for i, row in enumerate(A)]
+                    value = 0
+                    for c in reversed(cp):
+                        value = F.add_code(F.mul_code(value, w), c)
+                    assert value == _ref_det(F, shifted)
+            det = _ref_det(F, A)
+            assert M.det().code == det
+            if det:
+                inv = M.inverse()
+                assert _ref_mul(F, A, inv.rows) == _ref_mul(F, inv.rows, A) == ident
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    M.inverse()
+            for B in (M, dense):
+                assert (M * B).rows == _ref_mul(F, A, B.rows)
+                assert (B * M).rows == _ref_mul(F, B.rows, A)
+            assert M.transpose().rows == tuple(zip(*A))
+            for k in range(a + 1):
+                assert M.conjugate_entries(k).rows == tuple(
+                    tuple(_ref_power(F, v, p ** k) for v in row) for row in A)
+            vecs = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            vecs += [(0,) * d, tuple(rs.randrange(q) for _ in range(d))]
+            for v in vecs:
+                assert M.apply(v) == _ref_mul(F, (v,) + ((0,) * d,) * (d - 1), A)[0]
+
+
+def _ref_preserves(form, g):
+    F, J = g.ctx, form.gram.rows
+    gs = g.conjugate_entries(F.a // 2) if form.kind == "hermitian" else g
+    return _ref_mul(F, _ref_mul(F, g.rows, J), tuple(zip(*gs.rows))) == J
+
+
+@pytest.mark.parametrize("p, a", KERNEL_FIELDS)
+def test_preserves_matches_reference(p, a):
+    F = get_field(p, a)
+    rs = RandomSource(2000 * p + a)
+    for d in range(1, 6):
+        kinds = ["symmetric"] + (["symplectic"] if d % 2 == 0 else [])
+        kinds += ["hermitian"] if a % 2 == 0 else []
+        for kind in kinds:
+            form = antidiagonal_form(F, d, kind)
+            members = [SquareMatrix.identity(F, d)]
+            members.append(SquareMatrix.from_elements(F, [[-1 if i == j else 0 for j in range(d)]
+                                                          for i in range(d)]))
+            if kind == "symplectic" and d == 4:
+                members += standard_generators(GroupSpec("Sp", 4, F.q))
+            if kind == "hermitian" and d in (3, 4) and p ** (a // 2) > 2:
+                members += standard_generators(GroupSpec("SU", d, p ** (a // 2)))
+            for g in members:
+                assert form.preserves(g) and _ref_preserves(form, g)
+            for g in _kernel_pool(F, d, rs):
+                assert form.preserves(g) == _ref_preserves(form, g)
+
+
+def test_matrices_need_table_fields():
+    with pytest.raises(ValueError):
+        SquareMatrix.identity(get_field(2, 12), 2)  # 3^12 fold entries: no tables
+    F = get_field(5)
+    with pytest.raises(ValueError):
+        SquareMatrix(F, [[0, 5], [1, 0]])
+    with pytest.raises(ValueError):
+        SquareMatrix(F, [[0, -1], [1, 0]])
+    assert SquareMatrix.from_elements(F, [[7, -1], [0, 1]]).rows == ((2, 4), (0, 1))

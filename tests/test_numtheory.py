@@ -7,6 +7,7 @@ from beauville.numtheory import (
     Classification,
     Factorization,
     NotCoprime,
+    _small_primes,
     cyclotomic_value,
     divisors,
     factorize,
@@ -16,6 +17,7 @@ from beauville.numtheory import (
     lambda_value,
     order_mod,
     primitive_part,
+    small_primes,
     zsigmondy,
     zsigmondy_exists_oracle,
 )
@@ -25,6 +27,15 @@ def test_factorize_anchors():
     assert factorize(2047).factors == ((23, 1), (89, 1))
     assert factorize(1).factors == ()
     assert factorize(3 ** 10 - 1).factors == ((2, 3), (11, 2), (61, 1))
+
+
+def test_prime_sieve():
+    primes = small_primes()
+    assert len(primes) == 78498 and primes[-1] == 999983 and small_primes() is primes
+    for bound in (0, 1, 2, 3, 10, 97, 1000):
+        naive = [n for n in range(2, bound + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        assert _small_primes(bound) == naive
+        assert primes[:len(naive)] == naive
 
 
 def test_factorize_matches_trial_division_oracle():
