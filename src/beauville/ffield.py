@@ -115,13 +115,27 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+def _has_root(f: Sequence[int], p: int) -> bool:
+    """Whether f has a root in GF(p), by Horner evaluation at each point."""
+    for x in range(p):
+        v = 0
+        for c in reversed(f):
+            v = (v * x + c) % p
+        if not v:
+            return True
+    return False
+
+
 def _least_irreducible(p: int, a: int) -> Tuple[int, ...]:
     if a == 1:
         return (0, 1)
-    # Lex order on (c_0, ..., c_{a-1}); leading coefficient fixed at 1.
+    # Lex order on (c_0, ..., c_{a-1}); leading coefficient fixed at 1.  A
+    # root in GF(p) is a linear factor, so for a >= 2 the root test only
+    # rejects reducible candidates (every c_0 = 0 among them) and the first
+    # survivor of the full test is still the lex-least irreducible.
     for tail in itertools.product(range(p), repeat=a):
         f = list(tail) + [1]
-        if _is_irreducible(f, p):
+        if not _has_root(f, p) and _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 

@@ -19,9 +19,12 @@ reaches a known order: for H = <gens> that product is a lower bound on |H|
 at every stage, so reaching |G| for some G containing H proves H = G.
 
 Conjugacy classes are closed a whole breadth-first layer at a time on
-numpy arrays of image rows and kept as packed rows (PackedClass) in the
-same byte format, so membership tests and structure constants use the
-elements' own bytes, and class rows become Permutations with no copy.
+numpy arrays of image rows.  The closure dedupes on the images of a base
+of <gens, g>, which is exact because two elements of a group that agree on
+its base are equal, and builds full rows only for new class elements.
+Classes are kept as packed rows (PackedClass) in the same byte format, so
+membership tests and structure constants use the elements' own bytes, and
+class rows become Permutations with no copy.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class BadN(ValueError):
 
 
 CAP_EXCEEDED = object()  # sentinel returned by class_orbit when over cap
+DEFAULT_CAP = 200000  # largest class, in elements, that class closures build
 
 
 class Permutation:
@@ -454,7 +458,7 @@ def matrix_to_perm(gens: Sequence[SquareMatrix], action: str = "vectors",
 # conjugacy class orbits
 
 
-def class_orbit(g: Permutation, gens: Sequence[Permutation], cap: int = 200000):
+def class_orbit(g: Permutation, gens: Sequence[Permutation], cap: int = DEFAULT_CAP):
     """The conjugacy class of g under <gens> as a set of Permutations, or
     the CAP_EXCEEDED sentinel when the class has more than cap elements.
 
@@ -469,7 +473,9 @@ class PackedClass:
 
     Each key is the byte string a Permutation of that degree stores (uint8
     rows up to 256 points, uint16 up to 65,536), so membership tests take
-    the element's own bytes and rows become Permutations with no copy."""
+    the element's own bytes and rows become Permutations with no copy.
+    packed_class dedupes on shorter keys, the images of a base of the group
+    the elements lie in, and builds these full-row keys once at the end."""
 
     def __init__(self, keys: set, degree: int):
         self.keys = keys
@@ -479,44 +485,64 @@ class PackedClass:
     def __contains__(self, p: Permutation) -> bool:
         return p._data in self.keys
 
-    def rows(self, keys) -> np.ndarray:
-        """Packed keys as the rows of a 2-D image array."""
-        return np.frombuffer(b"".join(keys), self.dtype).reshape(-1, self.degree)
-
     def permutations(self) -> set:
         return {_unchecked(key, self.degree) for key in self.keys}
 
     def count_quotients(self, z: Permutation, other: "PackedClass") -> int:
         """|{a in self : a^-1 z in other}|.  All of self is inverted by one
         scatter and composed with z by one gather, (a^-1 z)(i) = z[a^-1[i]]."""
-        a = self.rows(self.keys)
+        a = np.frombuffer(b"".join(self.keys), self.dtype).reshape(-1, self.degree)
         a_inv = np.empty_like(a)
         a_inv[np.arange(len(a))[:, None], a] = _identity_row(self.degree)
-        return sum(key in other.keys for key in _row_keys(_row(z)[a_inv]))
+        return sum(key in other.keys for key in _keys(_row(z)[a_inv]))
 
 
 def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
     """The conjugacy class of g under <gens> as a PackedClass, or
     CAP_EXCEEDED when the class has more than cap elements.
 
-    Breadth-first orbit closure a whole layer at a time: the frontier is a
-    2-D array of image rows, and one gather h[F[:, h^-1]] conjugates every
-    row by h (row y = h^-1 x h has y[i] = h[x[h^-1[i]]])."""
-    cls = PackedClass({g._data}, g.degree)
-    keys = cls.keys
-    pairs = [(_row(h), _row(h.inverse()).astype(np.intp)) for h in gens]
-    frontier = cls.rows(keys)
-    while len(frontier):
+    Breadth-first orbit closure a whole layer at a time on a 2-D array F
+    of image rows; conjugating row x by h gives y = h^-1 x h with
+    y[i] = h[x[h^-1[i]]].  Every conjugate lies in H = <gens, g>, and two
+    elements of H that agree on a base B of H are equal, so the closure
+    dedupes on the images of B alone: per generator it gathers the
+    |F| x |B| array h[F[:, h^-1[B]]], and builds full rows only for the
+    conjugates not seen before."""
+    bsgs = _memo_bsgs(tuple(gens))
+    base = bsgs.base if bsgs.contains(g) else schreier_sims([*gens, g]).base
+    pairs = []
+    for h in gens:
+        hinv = _row(h.inverse()).astype(np.intp)
+        pairs.append((_row(h), hinv, hinv[base]))
+    frontier = _row(g)[None, :]
+    seen = set(_keys(frontier.take(base, axis=1)))
+    layers = []
+    while True:
+        layers.append(frontier)
         fresh = []
-        for h, hinv in pairs:
-            for key in _row_keys(h[frontier[:, hinv]]):
-                if key not in keys:
-                    if len(keys) >= cap:
-                        return CAP_EXCEEDED
-                    keys.add(key)
-                    fresh.append(key)
-        frontier = cls.rows(fresh)
-    return cls
+        for h, hinv, hinv_base in pairs:
+            new = []
+            for i, key in enumerate(_keys(h[frontier.take(hinv_base, axis=1)])):
+                if key not in seen:
+                    seen.add(key)
+                    new.append(i)
+            if len(seen) > cap:
+                return CAP_EXCEEDED
+            if new:
+                fresh.append(h[frontier[new].take(hinv, axis=1)])
+        if not fresh:
+            break
+        frontier = np.concatenate(fresh)
+    keys = {key for layer in layers for key in _keys(layer)}
+    assert len(keys) == len(seen), "base images failed to separate class elements"
+    return PackedClass(keys, g.degree)
+
+
+@functools.lru_cache(maxsize=8)
+def _memo_bsgs(gens: Tuple[Permutation, ...]) -> BSGS:
+    """The BSGS of <gens>, kept for the last few generator tuples, since
+    the classes of one group are closed under the same generators."""
+    return schreier_sims(gens)
 
 
 def _row(p: Permutation) -> np.ndarray:
@@ -524,11 +550,13 @@ def _row(p: Permutation) -> np.ndarray:
     return np.frombuffer(p._data, _dtype(p.degree))
 
 
-def _row_keys(rows: np.ndarray) -> List[bytes]:
-    """The rows of a 2-D image array, each packed as a key."""
-    packed = rows.tobytes()
-    step = rows.shape[1] * rows.itemsize
-    return [packed[i:i + step] for i in range(0, len(packed), step)]
+def _keys(rows: np.ndarray) -> list:
+    """The rows of a C-contiguous 2-D array, each as one bytes key taken
+    through a single void-dtype view."""
+    width = rows.shape[1] * rows.itemsize
+    if not width:  # a view of zero-width rows has no elements to list
+        return [b""] * len(rows)
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .matgrp import (
 from .permgrp import (
     BSGS,
     CAP_EXCEEDED,
+    DEFAULT_CAP,
     Permutation,
     PointAction,
     ProductReplacer,
@@ -44,7 +45,6 @@ from .permgrp import (
 )
 
 DEFAULT_BUDGET = 10 ** 5
-DEFAULT_CAP = 200000
 
 
 class GroupHandle:

@@ -5,6 +5,8 @@ import pytest
 from beauville.ffield import (
     FieldCtx,
     NotInSubfield,
+    _is_irreducible,
+    _least_irreducible,
     embed_subfield,
     frobenius,
     get_field,
@@ -34,6 +36,24 @@ def test_modulus_is_lex_least_known_cases():
     assert get_field(3, 2).modulus == (1, 0, 1)       # x^2 + 1
     assert get_field(2, 3).modulus == (1, 0, 1, 1)    # x^3 + x^2 + 1, least in
     # low-degree-first coefficient order among the two cubics
+
+
+def reference_least_irreducible(p, a):
+    """The lex-least monic irreducible of degree a, by the full test alone."""
+    for tail in itertools.product(range(p), repeat=a):
+        f = list(tail) + [1]
+        if _is_irreducible(f, p):
+            return tuple(f)
+
+
+def test_modulus_search_prefilter_keeps_lex_least():
+    # every prime power p^a <= 3^8 with a >= 2 (degree 1 is x, with no
+    # search), and GF(5^7), whose first 15,625 candidates all have c_0 = 0
+    cases = [(p, a) for p in range(2, 82) if all(p % d for d in range(2, p))
+             for a in range(2, 13) if p ** a <= 3 ** 8]
+    assert (3, 8) in cases and (2, 12) in cases and (79, 2) in cases
+    for p, a in cases + [(5, 7)]:
+        assert _least_irreducible(p, a) == reference_least_irreducible(p, a), (p, a)
 
 
 def test_field_axioms_sampled():

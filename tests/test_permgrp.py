@@ -288,9 +288,19 @@ def test_class_orbit_matches_reference_closure():
     alt5 = [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))]
     sp43, _, _ = matrix_to_perm(standard_generators(GroupSpec("Sp", 4, 3)), "vectors")
     sz8, _, _ = matrix_to_perm(list(suzuki_generators(8).generators), "projective")
+    # (3 4) lies outside <(1 2 3)>, so the keys need a base of
+    # <(1 2 3), (3 4)>: keys on the base of <(1 2 3)> alone, one point,
+    # would merge two of the three conjugates.  The trivial group's base
+    # is empty, so its keys have zero width.
+    c3 = [cyc(4, (1, 2, 3))]
+    trivial = [Permutation.identity(3)]
+    assert class_orbit(cyc(4, (3, 4)), c3) == {cyc(4, (1, 4)), cyc(4, (2, 4)), cyc(4, (3, 4))}
+    assert schreier_sims(trivial).base == []
     cases = [(sym4, [cyc(4, (1, 2)), cyc(4, (1, 2), (3, 4))]),
              (alt4, [cyc(4, (1, 2, 3))]),
-             (alt5, [cyc(5, (1, 2, 3, 4, 5)), cyc(5, (1, 2), (3, 4))])]
+             (alt5, [cyc(5, (1, 2, 3, 4, 5)), cyc(5, (1, 2), (3, 4))]),
+             (c3, [cyc(4, (3, 4)), cyc(4, (1, 2), (3, 4))]),
+             (trivial, trivial)]
     # degree 80 packs rows as uint8, degree 585 as uint16
     for gens, count in ((sp43, 3), (sz8, 2)):
         rep = ProductReplacer(gens, RandomSource(gens[0].degree))
