@@ -40,7 +40,6 @@ from .matgrp import (
     order_of_matrix,
     singer_order,
     sp42_triple,
-    spin_submodule_search,
     standard_generators,
     suzuki_generators,
     u3_triple,

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .matgrp import (
@@ -108,19 +108,6 @@ class EntryReport:
     elapsed_ms: int = 0
     detail: str = ""
 
-    def to_dict(self) -> Dict:
-        return {
-            "group": self.group,
-            "status": self.status,
-            "types": self.types,
-            "expected": self.expected,
-            "certificate": self.certificate,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "elapsed_ms": self.elapsed_ms,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class Report:
@@ -128,19 +115,12 @@ class Report:
     master_seed: int
     entries: List[EntryReport]
 
-    def to_dict(self) -> Dict:
-        return {
-            "schema_version": self.schema_version,
-            "master_seed": self.master_seed,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=list)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, default=list)
 
     def canonical_json(self) -> str:
         """Deterministic form: elapsed fields stripped."""
-        data = self.to_dict()
+        data = asdict(self)
         for entry in data["entries"]:
             entry.pop("elapsed_ms", None)
         return json.dumps(data, indent=2, sort_keys=True, default=list)

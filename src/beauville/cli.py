@@ -20,16 +20,15 @@ from .catalog import (
     CatalogOptions,
     CatalogParseError,
     load_catalog_file,
+    realize_source,
     run_catalog,
     shipped_catalog_path,
 )
-from .matgrp import GroupSpec
 from .numtheory import zsigmondy
 from .structures import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
     Exhausted,
-    GroupHandle,
     search_by_type,
 )
 from .identities import run_identity_suite
@@ -103,16 +102,12 @@ def cmd_search(args) -> int:
     except ValueError:
         print("error: --type must be l,m,n", file=sys.stderr)
         return 2
+    if args.family == "Sz":
+        source = f"builtin:Sz:{args.q}"
+    else:
+        source = f"builtin:{args.family}:{args.d}:{args.q}"
     try:
-        if args.family == "Sz":
-            from .matgrp import suzuki_generators
-            handle = GroupHandle.from_matrix_spec(suzuki_generators(args.q))
-        elif args.family == "OmegaMinus":
-            from .matgrp import omega_minus_char2_generators
-            handle = GroupHandle.from_matrix_spec(
-                omega_minus_char2_generators(args.d, args.q))
-        else:
-            handle = GroupHandle.from_matrix_spec(GroupSpec(args.family, args.d, args.q))
+        handle = realize_source(source, "")
     except Exception as exc:  # noqa: BLE001 - surface as usage error
         print(f"error: cannot realize group: {exc}", file=sys.stderr)
         return 2

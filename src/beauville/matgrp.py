@@ -9,7 +9,7 @@ the small-rank constructions are normalized the same way before comparing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numtheory import Factorization, factorize, lambda_value
@@ -351,11 +351,6 @@ class GroupSpec:
         if self.family not in self._FAMILIES:
             raise UnsupportedFamily(self.family)
 
-    @property
-    def matrix_field(self) -> FieldCtx:
-        q = self.q * self.q if self.family in ("GU", "SU") else self.q
-        return get_field_of_order(q)
-
     def label(self) -> str:
         if self.name:
             return self.name
@@ -449,8 +444,13 @@ def _sl_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     return tuple(gens)
 
 
-def _bilinear_value(J: SquareMatrix, x: Sequence[int], y: Sequence[int]) -> int:
+def _form_value(form: FormSpec, x: Sequence[int], y: Sequence[int]) -> int:
+    """x J sigma(y)^T, sigma the q-power map for hermitian forms."""
+    J = form.gram
     ctx = J.ctx
+    if form.kind == "hermitian":
+        qpow = ctx.p ** (ctx.a // 2)
+        y = [ctx.pow_code(yj, qpow) for yj in y]
     mul, add = ctx.mul_code, ctx.add_code
     acc = 0
     for i, xi in enumerate(x):
@@ -461,22 +461,26 @@ def _bilinear_value(J: SquareMatrix, x: Sequence[int], y: Sequence[int]) -> int:
     return acc
 
 
-def _sp_transvection(J: SquareMatrix, v: Sequence[int], lam_code: int) -> SquareMatrix:
-    """x -> x + lam * B(x, v) * v written as a matrix (rows are images of e_i)."""
-    ctx = J.ctx
+def _transvection(form: FormSpec, v: Sequence[int], lam_code: int) -> SquareMatrix:
+    """x -> x + lam * B(x, v) * v written as a matrix (rows are images of e_i).
+
+    It preserves the form when v is isotropic and lam is chosen for the
+    form: any lam for symplectic forms, trace-zero lam for hermitian ones.
+    """
+    ctx = form.gram.ctx
     mul, add = ctx.mul_code, ctx.add_code
-    d = J.d
+    d = form.gram.d
     rows = []
     for i in range(d):
         e = [1 if k == i else 0 for k in range(d)]
-        c = mul(lam_code, _bilinear_value(J, e, v))
+        c = mul(lam_code, _form_value(form, e, v))
         rows.append([add(e[k], mul(c, v[k])) for k in range(d)])
     return SquareMatrix(ctx, rows)
 
 
 def _sp_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     ctx = get_field_of_order(q)
-    J = antidiagonal_form(ctx, d, "symplectic").gram
+    form = antidiagonal_form(ctx, d, "symplectic")
     gen = multiplicative_generator(ctx)
     lams = [(gen ** k).code for k in range(ctx.a)]
     vecs = []
@@ -485,26 +489,13 @@ def _sp_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     for i in range(d):
         for j in range(i + 1, d):
             vecs.append(tuple(1 if k in (i, j) else 0 for k in range(d)))
-    return tuple(_sp_transvection(J, v, lam) for v in vecs for lam in lams)
-
-
-def _hermitian_value(J: SquareMatrix, x: Sequence[int], y: Sequence[int]) -> int:
-    ctx = J.ctx
-    qpow = ctx.p ** (ctx.a // 2)
-    mul, add, pw = ctx.mul_code, ctx.add_code, ctx.pow_code
-    acc = 0
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj and J.rows[i][j]:
-                    acc = add(acc, mul(mul(xi, J.rows[i][j]), pw(yj, qpow)))
-    return acc
+    return tuple(_transvection(form, v, lam) for v in vecs for lam in lams)
 
 
 def _su_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     p, h = factorize(q).factors[0]
     ctx = get_field(p, 2 * h)
-    J = antidiagonal_form(ctx, d, "hermitian").gram
+    form = antidiagonal_form(ctx, d, "hermitian")
     mul = ctx.mul_code
     t0 = trace_zero_sample(ctx)
     sub = get_field_of_order(q)
@@ -525,7 +516,7 @@ def _su_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
             for w in (ctx.one, gen2, gen2 ** 2):
                 v = [0] * d
                 v[i], v[j] = 1, w.code
-                if _hermitian_value(J, v, v) == 0:
+                if _form_value(form, v, v) == 0:
                     vecs.append(tuple(v))
     if d % 2 == 1:
         mid = d // 2
@@ -533,29 +524,9 @@ def _su_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
             for t in ctx.elements():
                 v = [0] * d
                 v[0], v[mid], v[d - 1] = 1, s.code, t.code
-                if _hermitian_value(J, v, v) == 0:
+                if _form_value(form, v, v) == 0:
                     vecs.append(tuple(v))
-    out = []
-    for v in vecs:
-        for lam in lams:
-            g = _unitary_transvection(J, v, lam)
-            if g is not None:
-                out.append(g)
-    return tuple(out)
-
-
-def _unitary_transvection(J: SquareMatrix, v: Sequence[int], lam_code: int) -> Optional[SquareMatrix]:
-    ctx = J.ctx
-    if _hermitian_value(J, v, v) != 0:
-        return None
-    mul, add = ctx.mul_code, ctx.add_code
-    d = J.d
-    rows = []
-    for i in range(d):
-        e = [1 if k == i else 0 for k in range(d)]
-        c = mul(lam_code, _hermitian_value(J, e, v))
-        rows.append([add(e[k], mul(c, v[k])) for k in range(d)])
-    return SquareMatrix(ctx, rows)
+    return tuple(_transvection(form, v, lam) for v in vecs for lam in lams)
 
 
 def suzuki_generators(q: int) -> GroupSpec:
@@ -596,6 +567,17 @@ def suzuki_generators(q: int) -> GroupSpec:
                      name=f"Sz_{q}")
 
 
+def _gf2_insert(echelon: List[int], v: Sequence[int]) -> bool:
+    """Add the 0/1 vector v to an echelon basis of int bitmasks over GF(2);
+    False when v already lies in its span."""
+    r = int("".join(map(str, v)), 2)
+    for b in echelon:
+        r = min(r, r ^ b)
+    if r:
+        echelon.append(r)
+    return r != 0
+
+
 def omega_minus_char2_generators(d: int, q: int = 2) -> GroupSpec:
     """Generators for the simple group Omega_d^-(2) as transvection pairs.
 
@@ -632,9 +614,21 @@ def omega_minus_char2_generators(d: int, q: int = 2) -> GroupSpec:
     nonsingular = [v for v in itertools.product((0, 1), repeat=d) if quad(v)]
     # pair the first nonsingular vector with a spread sample; consecutive
     # lex vectors concentrate in a coordinate subspace and generate too little
-    base = transvection(nonsingular[0])
     step = max(1, len(nonsingular) // 8)
-    gens = tuple(base * transvection(a) for a in nonsingular[1::step][:8])
+    sample = nonsingular[1::step][:8]
+    # every t_b t_a fixes the vectors orthogonal to b and a, so the sample
+    # must span GF(2)^d; from d = 10 on, eight vectors do not, and the next
+    # nonsingular vectors outside the span extend it
+    echelon: List[int] = []
+    for v in [nonsingular[0]] + sample:
+        _gf2_insert(echelon, v)
+    extra = iter(nonsingular)
+    while len(echelon) < d:
+        a = next(extra)
+        if _gf2_insert(echelon, a):
+            sample.append(a)
+    base = transvection(nonsingular[0])
+    gens = tuple(base * transvection(a) for a in sample)
     order = classical_order(GroupSpec("OmegaMinus", d, 2)).value
     return GroupSpec("OmegaMinus", d, 2, generators=gens, declared_order=order,
                      name=f"OmegaMinus_{d}_2")
@@ -977,111 +971,3 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
             assert charpoly(xy) == sp42_charpoly_odd(a, b)
             return x, y, xy
     raise BadField(f"no admissible (t, f) found for Sp_4({q})")
-
-# ---------------------------------------------------------------------------
-# invariant subspace search (spinning)
-
-
-@dataclass(frozen=True)
-class ProperSubspace:
-    """Row basis of a proper invariant subspace found by spinning."""
-
-    basis: Tuple[Tuple[int, ...], ...]
-
-
-def _row_reduce(ctx: FieldCtx, rows: List[List[int]]) -> List[List[int]]:
-    mul, add, inv, neg = ctx.mul_code, ctx.add_code, ctx.inv_code, ctx.neg_code
-    basis: List[List[int]] = []
-    pivots: List[int] = []
-    for row in rows:
-        row = list(row)
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                c = neg(mul(row[p], inv(b[p])))
-                row = [add(v, mul(c, w)) for v, w in zip(row, b)]
-        if any(row):
-            p = next(i for i, v in enumerate(row) if v)
-            basis.append(row)
-            pivots.append(p)
-    return basis
-
-
-def _spin(gens: Sequence[SquareMatrix], seed_vec: Sequence[int]) -> List[List[int]]:
-    ctx = gens[0].ctx
-    basis = _row_reduce(ctx, [list(seed_vec)])
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            for row in list(basis):
-                new = _row_reduce(ctx, basis + [list(g.apply(row))])
-                if len(new) > len(basis):
-                    basis = new
-                    changed = True
-    return basis
-
-
-def spin_submodule_search(gens: Sequence[SquareMatrix], budget: int = 20,
-                          seed: int = 0) -> Optional[ProperSubspace]:
-    """Look for a proper invariant subspace by spinning random vectors and
-    nullspace vectors of random group-algebra elements.
-
-    Returns None when nothing was found within the budget; that is NOT a
-    proof of irreducibility, only a failed search.
-    """
-    if not gens:
-        raise ValueError("need at least one matrix")
-    ctx = gens[0].ctx
-    d = gens[0].d
-    state = seed & ((1 << 64) - 1)
-
-    def nxt(n: int) -> int:
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) & ((1 << 64) - 1)
-        return (state >> 24) % n
-
-    def try_vector(vec: Sequence[int]) -> Optional[ProperSubspace]:
-        if not any(vec):
-            return None
-        basis = _spin(gens, vec)
-        if 0 < len(basis) < d:
-            return ProperSubspace(tuple(tuple(r) for r in basis))
-        return None
-
-    # deterministic unit vectors first, then random vectors, then nullspaces
-    for i in range(d):
-        found = try_vector([1 if k == i else 0 for k in range(d)])
-        if found:
-            return found
-    for _ in range(budget):
-        found = try_vector([nxt(ctx.q) for _ in range(d)])
-        if found:
-            return found
-        # random group-algebra element: sum of scaled random words
-        acc = [[0] * d for _ in range(d)]
-        for _ in range(3):
-            word = SquareMatrix.identity(ctx, d)
-            for _ in range(1 + nxt(3)):
-                word = word * gens[nxt(len(gens))]
-            c = nxt(ctx.q)
-            acc = [[ctx.add_code(acc[i][j], ctx.mul_code(c, word.rows[i][j]))
-                    for j in range(d)] for i in range(d)]
-        # nullspace vectors of acc: solve x * acc = 0 by reducing acc^T
-        mat = SquareMatrix(ctx, acc).transpose()
-        reduced = _row_reduce(ctx, [list(r) for r in mat.rows])
-        if len(reduced) < d:
-            # extract one kernel vector by back-substitution over free slot
-            pivots = [next(i for i, v in enumerate(row) if v) for row in reduced]
-            free = next(i for i in range(d) if i not in pivots)
-            vec = [0] * d
-            vec[free] = 1
-            for row, p in reversed(list(zip(reduced, pivots))):
-                s = 0
-                for k in range(p + 1, d):
-                    if vec[k] and row[k]:
-                        s = ctx.add_code(s, ctx.mul_code(vec[k], row[k]))
-                vec[p] = ctx.neg_code(ctx.mul_code(s, ctx.inv_code(row[p])))
-            found = try_vector(vec)
-            if found:
-                return found
-    return None

@@ -599,7 +599,6 @@ class RandomSource:
     """SplitMix64 stream; identical seeds give identical element streams."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
         self._state = seed & _MASK64
 
     def next64(self) -> int:
@@ -618,11 +617,6 @@ class RandomSource:
             v = self.next64()
             if v <= limit:
                 return v % n
-
-    def derive(self, index: int) -> "RandomSource":
-        child = RandomSource(self.seed ^ (0xD1B54A32D192ED03 * (index + 1) & _MASK64))
-        child.next64()
-        return child
 
 
 class ProductReplacer:

@@ -220,6 +220,14 @@ def test_cli_strict_fails_on_skipped(tmp_path, capsys):
 def test_cli_search_and_unknown_flag(capsys):
     assert main(["search", "--family", "SL", "--d", "2", "--q", "11",
                  "--type", "5,5,11", "--seed", "1"]) == 0
+    assert main(["search", "--family", "Sz", "--q", "8", "--type", "5,7,13"]) == 0
+    assert "in Sz_8, group order 29120" in capsys.readouterr().out
+    assert main(["search", "--family", "OmegaMinus", "--d", "4", "--q", "2",
+                 "--type", "5,5,5"]) == 0
+    assert "in OmegaMinus_4_2, group order 60" in capsys.readouterr().out
+    assert main(["search", "--family", "SL", "--d", "2", "--q", "6",
+                 "--type", "5,5,5"]) == 2
+    assert "6 is not a prime power" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["search", "--family", "SL", "--bogus", "1"])
     assert err.value.code == 2

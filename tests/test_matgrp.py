@@ -17,7 +17,6 @@ from beauville.matgrp import (
     order_of_matrix,
     singer_order,
     sp42_triple,
-    spin_submodule_search,
     standard_generators,
     suzuki_generators,
     u3_triple,
@@ -213,15 +212,28 @@ def test_omega_minus():
     assert schreier_sims(perms).order() == spec.declared_order == 197406720
 
 
-def test_spin_submodule_search():
-    F = get_field(2, 1)
-    block = SquareMatrix.from_elements(F, [[1, 1], [0, 1]])
-    found = spin_submodule_search([block])
-    assert found is not None and len(found.basis) == 1
-    gens = standard_generators(GroupSpec("SL", 2, 4))
-    assert spin_submodule_search(list(gens)) is None
-    scal = SquareMatrix.from_elements(get_field(5), [[2, 0], [0, 2]])
-    assert spin_submodule_search([scal]) is not None
+def _gf2_rank(rows):
+    echelon = []
+    for r in rows:
+        for b in echelon:
+            r = min(r, r ^ b)
+        if r:
+            echelon.append(r)
+    return len(echelon)
+
+
+def test_omega_minus_generators_fix_no_vector():
+    # x fixed by every g means x (g - I) = 0 for every g: x is in the left
+    # kernel of the side-by-side g - I blocks, which have full rank d iff
+    # no nonzero vector is fixed
+    for d in range(4, 18, 2):
+        gens = omega_minus_char2_generators(d).generators
+        rows = [int("".join(str(g.rows[i][j] ^ (i == j)) for g in gens for j in range(d)), 2)
+                for i in range(d)]
+        assert _gf2_rank(rows) == d, d
+    spec = omega_minus_char2_generators(10)
+    perms, _, _ = matrix_to_perm(list(spec.generators), "vectors")
+    assert schreier_sims(perms).order() == spec.declared_order == 25015379558400
 
 
 # ---------------------------------------------------------------------------
