@@ -42,7 +42,8 @@ from .matgrp import (
     u41_triple,
 )
 from .ffield import get_field
-from .permgrp import Permutation, parse_perm_file
+from .numtheory import factorize
+from .permgrp import Permutation, TooManyPoints, parse_perm_file
 from .structures import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
@@ -260,30 +261,60 @@ def _alt_generators(n: int) -> List[Permutation]:
     return [three, big]
 
 
+# the integer fields of each builtin family's source, in order
+_BUILTIN_FIELDS = {
+    "Sz": ("q",),
+    "OmegaMinus": ("d", "q"),
+    "Alt": ("n",),
+    **{fam: ("d", "q") for fam in ("SL", "Sp", "SU", "PSL", "PSp", "PSU")},
+}
+
+
+def _builtin_args(source: str, fam: str, values: List[str]) -> Dict[str, int]:
+    """The checked integer fields of a builtin source: the family's arity,
+    d >= 2 (even for Sp), n >= 3 and a prime-power q."""
+    names = _BUILTIN_FIELDS[fam]
+    if len(values) != len(names) or not all(v.isdigit() for v in values):
+        usage = ":".join(["builtin", fam] + [f"<{n}>" for n in names])
+        raise CatalogDataError(f"source {source!r}: expected {usage}")
+    args = dict(zip(names, map(int, values)))
+    for name, least in (("d", 2), ("n", 3)):
+        if args.get(name, least) < least:
+            raise CatalogDataError(f"source {source!r}: need {name} >= {least}")
+    if fam in ("Sp", "PSp") and args["d"] % 2:
+        raise CatalogDataError(f"source {source!r}: Sp needs an even d")
+    q = args.get("q", 2)
+    if q < 2 or len(factorize(q).factors) != 1:
+        raise CatalogDataError(f"source {source!r}: {q} is not a prime power")
+    return args
+
+
 def realize_source(source: str, base_dir: str, cap: int = 10 ** 7,
                    declared_order: Optional[int] = None) -> Optional[GroupHandle]:
     """Build a GroupHandle from a catalog source; None when the referenced
-    file is absent (the entry is then Skipped)."""
+    file is absent (the entry is then Skipped).  A malformed source raises
+    CatalogDataError."""
     parts = source.split(":")
     if parts[0] == "builtin":
-        fam = parts[1]
-        if fam == "Sz":
-            spec = suzuki_generators(int(parts[2]))
-            return GroupHandle.from_matrix_spec(spec, cap)
-        if fam == "OmegaMinus":
-            spec = omega_minus_char2_generators(int(parts[2]), int(parts[3]))
-            return GroupHandle.from_matrix_spec(spec, cap)
-        if fam == "Alt":
-            n = int(parts[2])
-            return GroupHandle.from_permutations(
-                f"Alt_{n}", _alt_generators(n), math.factorial(n) // 2)
-        if fam in ("SL", "Sp", "SU"):
-            spec = GroupSpec(fam, int(parts[2]), int(parts[3]))
-            return GroupHandle.from_matrix_spec(spec, cap)
-        if fam in ("PSL", "PSp", "PSU"):
-            spec = GroupSpec(fam[1:], int(parts[2]), int(parts[3]))
-            return GroupHandle.from_matrix_spec(spec, cap, quotient=True)
-        raise CatalogDataError(f"unknown builtin family {fam!r}")
+        fam = parts[1] if len(parts) > 1 else ""
+        if fam not in _BUILTIN_FIELDS:
+            raise CatalogDataError(f"unknown builtin family {fam!r}")
+        args = _builtin_args(source, fam, parts[2:])
+        try:
+            if fam == "Sz":
+                return GroupHandle.from_matrix_spec(suzuki_generators(args["q"]), cap)
+            if fam == "OmegaMinus":
+                spec = omega_minus_char2_generators(args["d"], args["q"])
+                return GroupHandle.from_matrix_spec(spec, cap)
+            if fam == "Alt":
+                n = args["n"]
+                return GroupHandle.from_permutations(
+                    f"Alt_{n}", _alt_generators(n), math.factorial(n) // 2)
+            quotient = fam.startswith("P")
+            spec = GroupSpec(fam[1:] if quotient else fam, args["d"], args["q"])
+            return GroupHandle.from_matrix_spec(spec, cap, quotient=quotient)
+        except (BadField, TooManyPoints) as exc:
+            raise CatalogDataError(f"source {source!r}: {exc}") from None
     if parts[0] == "file":
         path = os.path.join(base_dir, parts[1])
         if not os.path.exists(path):
@@ -408,8 +439,11 @@ def run_entry(entry: CatalogEntry, options: CatalogOptions,
     if entry.infeasible is not None:
         return done(EntryReport(entry.name, "Skipped", detail=entry.infeasible))
     if entry.source not in handles:
-        handles[entry.source] = realize_source(
-            entry.source, options.base_dir, declared_order=entry.order)
+        try:
+            handles[entry.source] = realize_source(
+                entry.source, options.base_dir, declared_order=entry.order)
+        except CatalogDataError as exc:
+            raise CatalogDataError(f"{entry.name} (line {entry.line}): {exc}") from None
     G = handles[entry.source]
     if G is None:
         return done(EntryReport(entry.name, "Skipped",

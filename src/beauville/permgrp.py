@@ -17,6 +17,9 @@ generation certificates used by the Beauville predicates all come from it.
 A build may also stop as soon as the product of its transversal sizes
 reaches a known order: for H = <gens> that product is a lower bound on |H|
 at every stage, so reaching |G| for some G containing H proves H = G.
+When H <= G is proven before the build (known_order), the stopped
+structure is complete.  Each transversal rep is inverted at most once, on
+first use in a sift, and the inverse is kept.
 
 Conjugacy classes are closed a whole breadth-first layer at a time on
 numpy arrays of image rows.  The closure dedupes on the images of a base
@@ -244,11 +247,19 @@ class BSGS:
     With stop_at the build returns as soon as order() reaches it, skipping
     the final strip check.  The structure is then incomplete (complete is
     False): order() is a lower bound on |<gens>| and contains() refuses.
+
+    With known_order the build returns as soon as order() reaches it too,
+    but complete: the caller has proven that <gens> lies in a group of that
+    order (see schreier_sims).  A build that never reaches it runs to
+    completion, and one that passes it raises.
     """
 
-    def __init__(self, gens: Sequence[Permutation], stop_at: Optional[int] = None):
+    def __init__(self, gens: Sequence[Permutation], stop_at: Optional[int] = None,
+                 known_order: Optional[int] = None):
         if not gens:
             raise ValueError("need at least one generator")
+        if stop_at is not None and known_order is not None:
+            raise ValueError("stop_at and known_order exclude each other")
         self.degree = gens[0].degree
         if any(g.degree != self.degree for g in gens):
             raise ValueError("mixed degrees")
@@ -256,19 +267,28 @@ class BSGS:
         self.base: List[int] = []
         self.level_gens: List[List[Permutation]] = []
         self.transversals: List[Dict[int, Permutation]] = []
+        self._inverses: List[Dict[int, Permutation]] = []
         self.complete = True
-        self._build(stop_at)
+        self._build(stop_at, known_order)
 
-    # transversal[l][p] maps base[l] to p; reps are stable once assigned
+    # transversal[l][p] maps base[l] to p; reps are stable once assigned,
+    # so an inverse rep, once computed, stays valid
+
+    def _rep_inverse(self, level: int, pt: int) -> Permutation:
+        """transversals[level][pt]^-1, computed on first use and kept."""
+        inverses = self._inverses[level]
+        inv = inverses.get(pt)
+        if inv is None:
+            inv = inverses[pt] = self.transversals[level][pt].inverse()
+        return inv
 
     def _strip(self, g: Permutation, from_level: int = 0) -> Tuple[Permutation, int]:
         h = g
         for level in range(from_level, len(self.base)):
             pt = h._points()[self.base[level]]
-            trans = self.transversals[level]
-            if pt not in trans:
+            if pt not in self.transversals[level]:
                 return h, level
-            h = h * trans[pt].inverse()
+            h = h * self._rep_inverse(level, pt)
         return h, len(self.base)
 
     def _add_base_point(self, g: Permutation) -> None:
@@ -277,6 +297,7 @@ class BSGS:
         self.base.append(moved)
         self.level_gens.append([])
         self.transversals.append({self.base[-1]: Permutation.identity(self.degree)})
+        self._inverses.append({})
 
     def _level_generators(self, level: int) -> List[Permutation]:
         """All installed generators fixing base[0..level-1], i.e. the union
@@ -288,8 +309,9 @@ class BSGS:
 
     def _extend_orbit(self, level: int, h: Permutation, stack: list) -> None:
         """Extend one level's orbit by a new generator; reps stay stable.
-        Pushes the level's fresh Schreier generators rep * g * back^-1 onto
-        stack as pending (rep, g, back, level + 1) entries."""
+        Pushes the level's fresh Schreier generators rep * g * back^-1,
+        back the rep of img = (base point)^(rep * g), onto stack as pending
+        (rep, g, img, level) entries."""
         trans = self.transversals[level]
         rows = [(g, g._points()) for g in self._level_generators(level)]
         frontier = []
@@ -300,7 +322,7 @@ class BSGS:
                 trans[img] = trans[pt] * h
                 frontier.append(img)
             else:
-                stack.append((trans[pt], h, trans[img], level + 1))
+                stack.append((trans[pt], h, img, level))
         while frontier:
             new_frontier = []
             for pt in frontier:
@@ -311,19 +333,21 @@ class BSGS:
                         trans[img] = rep * g
                         new_frontier.append(img)
                     else:
-                        stack.append((rep, g, trans[img], level + 1))
+                        stack.append((rep, g, img, level))
             frontier = new_frontier
 
-    def _build(self, stop_at: Optional[int]) -> None:
-        # entries (g, gen, back, level): strip g * gen * back^-1 from level;
-        # the input generators have gen None
+    def _build(self, stop_at: Optional[int], known_order: Optional[int]) -> None:
+        # entries (g, gen, img, level): strip g * gen * rep^-1 from level + 1,
+        # rep the level's rep of img; the input generators have gen None and
+        # strip from level 0
         stack = [(g, None, None, 0) for g in reversed(self.gens)]
         while stack:
-            g, gen, back, level = stack.pop()
+            g, gen, img, level = stack.pop()
             if gen is not None:
-                g = g * gen * back.inverse()
+                g = g * gen * self._rep_inverse(level, img)
                 if g.is_identity():
                     continue
+                level += 1
             h, drop = self._strip(g, level)
             if h.is_identity():
                 continue
@@ -334,7 +358,14 @@ class BSGS:
             self.level_gens[drop].append(h)
             for l in range(drop + 1):
                 self._extend_orbit(l, h, stack)
-            if stop_at is not None and self.order() >= stop_at:
+            if known_order is not None:
+                order = self.order()
+                if order > known_order:
+                    raise ValueError(
+                        f"<gens> has order at least {order} > known order {known_order}")
+                if order == known_order:
+                    return
+            elif stop_at is not None and self.order() >= stop_at:
                 self.complete = False
                 return
         for g in self.gens:
@@ -356,15 +387,27 @@ class BSGS:
         return h.is_identity()
 
 
-def schreier_sims(gens: Sequence[Permutation], stop_at: Optional[int] = None) -> BSGS:
+def schreier_sims(gens: Sequence[Permutation], stop_at: Optional[int] = None,
+                  known_order: Optional[int] = None) -> BSGS:
     """Deterministic BSGS for the group generated by gens.
 
     With stop_at = |G| for some G known to contain <gens>, the build stops
     once the proven lower bound on |<gens>| reaches |G|, which proves
     <gens> = G; a smaller group is built to completion, so its order is
-    exact.
+    exact.  The stopped structure is marked incomplete.
+
+    known_order = N carries a premise that the caller must have proven:
+    <gens> lies in a group of order N.  The build then stops once its
+    transversal product, a lower bound on |<gens>|, reaches N.  With
+    |<gens>| <= N that forces every basic orbit to be full and the base's
+    pointwise stabilizer to be trivial, so the structure is complete: it
+    has the base, level generators and reps of the full build, since the
+    Schreier generators left on the stack all strip to 1 (Seress,
+    Permutation Group Algorithms, 2003, ch. 4).  A proper subgroup builds
+    to completion with its exact order, and a product above N, which
+    refutes the premise, raises ValueError.
     """
-    return BSGS(gens, stop_at)
+    return BSGS(gens, stop_at, known_order)
 
 
 def mulclose(gens: Iterable, cap: Optional[int] = None):

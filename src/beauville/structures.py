@@ -8,10 +8,20 @@ into the same permutation group.  Every element is a Permutation, so all
 element orders are cycle-structure orders; the matrix-level order of an
 injected matrix is only cross-checked against its image.
 
+Realizations of SL, Sp and SU and of their central quotients PSL, PSp
+and PSU stop their Schreier-Sims build once its transversal product
+reaches the formula order |G|.  That is a proof, not a guess: each matrix
+generator is first checked to lie in G (determinant 1, and for Sp and SU
+the antidiagonal form that the standard generators are built on), so
+|<gens>| <= |G|, and a lower bound reaching that upper bound makes the
+BSGS complete (see permgrp.schreier_sims).  Sz, Omega^-, ingested matrix
+files and permutation sources have no such proof and build in full.
+Either way the order is compared with |G| for equality.
+
 verify_triple certifies generation without a full Schreier-Sims build of
-<x, y>: an orbit-partition comparison that can only reject, membership of
-x and y in G proven through G's BSGS, and a build of <x, y> that stops once
-its proven lower bound on |<x, y>| reaches |G|.
+<x, y>: an orbit comparison that can only reject, membership of x and y in
+G proven through G's BSGS, and a build of <x, y> that stops once its
+proven lower bound on |<x, y>| reaches |G|.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .numtheory import Factorization, factorize
 from .matgrp import (
     GroupSpec,
     SquareMatrix,
+    antidiagonal_form,
     classical_order,
     order_of_matrix,
     standard_generators,
@@ -54,7 +65,9 @@ class GroupHandle:
     field parameter q of their spec, which the explicit constructions need.
     The orbit partition and a complete BSGS, which verify_triple uses, are
     computed on first use and kept; the realization constructors keep the
-    BSGS that certified the order.
+    BSGS that certified the order.  For SL, Sp, SU and their quotients that
+    BSGS was stopped at |G| after the generators were proven to lie in G,
+    which makes it complete; every other realization builds it in full.
     """
 
     def __init__(self, name: str, perm_gens: Sequence[Permutation],
@@ -89,6 +102,10 @@ class GroupHandle:
         is nontrivial (so covers keep their central elements), projective
         points otherwise.  With quotient=True the projective action is used
         regardless, realizing the central quotient (PSL and friends).
+
+        When _classical_bound proves the generators lie in the classical
+        group, the BSGS build stops at that group's order (divided by the
+        scalars for a quotient); otherwise it runs in full.
         """
         gens = list(spec.generators or standard_generators(spec))
         if spec.declared_order is not None:
@@ -105,7 +122,10 @@ class GroupHandle:
         else:
             action = "vectors" if center > 1 else "projective"
         perms, _, act = matrix_to_perm(gens, action, cap)
-        bsgs = schreier_sims(perms)
+        bound = _classical_bound(spec, gens)
+        if bound is not None and quotient:
+            bound //= center
+        bsgs = schreier_sims(perms, known_order=bound)
         if bsgs.order() != expected:
             raise ValueError(
                 f"{name}: BSGS order {bsgs.order()} != formula/declared {expected}")
@@ -153,6 +173,26 @@ def _scalar_subgroup_order(spec: GroupSpec, ctx, d: int) -> int:
         return 1
     # conservative: check whether -1 is in the group via the generators' field
     return 2 if ctx.p != 2 else 1
+
+
+def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[int]:
+    """|G| for the SL, Sp or SU group G of spec when every generator is
+    proven to lie in G, else None.  The proof is determinant 1, and for Sp
+    and SU that the generator preserves the antidiagonal form (symplectic
+    or hermitian) on which the standard generators are built."""
+    kinds = {"SL": None, "Sp": "symplectic", "SU": "hermitian"}
+    if spec.family not in kinds:
+        return None
+    ctx = gens[0].ctx
+    field_order = spec.q ** 2 if spec.family == "SU" else spec.q
+    if ctx.q != field_order or any(g.d != spec.d for g in gens):
+        return None
+    kind = kinds[spec.family]
+    form = antidiagonal_form(ctx, spec.d, kind) if kind else None
+    for g in gens:
+        if g.det().code != 1 or (form is not None and not form.preserves(g)):
+            return None
+    return classical_order(spec).value
 
 
 def _group_exponent_multiple(spec: GroupSpec) -> Factorization:
@@ -214,13 +254,14 @@ def verify_triple(G: GroupHandle, x, y) -> Union[HyperbolicTriple, NotGenerating
     """Check x, y for a hyperbolic generating triple (x, y, (xy)^-1).
 
     Generation is proven in three steps.  The orbits of <x, y> must be G's:
-    this prefilter only rejects.  x and y must lie in G, proven by
-    stripping them through G's BSGS.  Then a Schreier-Sims build of <x, y>
-    stopped at |G| must reach |G|: its transversal product is a lower bound
-    on |<x, y>|, and <x, y> <= G, so reaching |G| proves <x, y> = G.
+    this prefilter only rejects, mostly after a walk over one orbit.  x and
+    y must lie in G, proven by stripping them through G's BSGS.  Then a
+    Schreier-Sims build of <x, y> stopped at |G| must reach |G|: its
+    transversal product is a lower bound on |<x, y>|, and <x, y> <= G, so
+    reaching |G| proves <x, y> = G.
     """
     gens = (x, y)
-    if orbit_partition(gens) != G.orbits:
+    if not _same_orbits(gens, G.orbits):
         return NotGenerating(gens, ORBITS_DIFFER)
     if not (G.bsgs.contains(x) and G.bsgs.contains(y)):
         return NotGenerating(gens, OUTSIDE_G)
@@ -233,6 +274,32 @@ def verify_triple(G: GroupHandle, x, y) -> Union[HyperbolicTriple, NotGenerating
     if total >= 1:
         return NotHyperbolic(total)
     return HyperbolicTriple(G.name, x, y, z, orders, sub)
+
+
+def _same_orbits(gens: Sequence[Permutation], labels: Tuple[int, ...]) -> bool:
+    """orbit_partition(gens) == labels, decided by walking <gens> from each
+    orbit minimum of labels and stopping at the first point whose label
+    differs from the walk's start, or at the first unseen point that is not
+    its own label (its orbit misses the minimum it should hold)."""
+    rows = [g._points() for g in gens]
+    seen = [False] * len(labels)
+    for start, label in enumerate(labels):
+        if seen[start]:
+            continue
+        if label != start:
+            return False
+        seen[start] = True
+        stack = [start]
+        while stack:
+            pt = stack.pop()
+            for row in rows:
+                img = row[pt]
+                if not seen[img]:
+                    if labels[img] != start:
+                        return False
+                    seen[img] = True
+                    stack.append(img)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,24 @@ expected_types (5,5,5),(5,5,5)
                        f"construction:{construction}", message)
 
 
+@pytest.mark.parametrize("source,message", [
+    ("builtin:SL:3", "expected builtin:SL:<d>:<q>"),
+    ("builtin:SL:3:6", "6 is not a prime power"),
+    ("builtin:Sp:4:x", "expected builtin:Sp:<d>:<q>"),
+    ("builtin:Sz:6", "6 is not a prime power"),
+    ("builtin:OmegaMinus:5:2", "need even d >= 4"),
+    ("builtin:SL:9:16", "exceeds the cap"),
+])
+def test_malformed_builtin_source_is_a_data_error(tmp_path, capsys, source, message):
+    text = f"""group BAD
+source {source}
+triple1 search:5,5,5:1
+triple2 search:5,5,5:2
+expected_types (5,5,5),(5,5,5)
+"""
+    _assert_data_error(tmp_path, capsys, text, "BAD (line 1)", source, message)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["zsigmondy", "--base", "2", "--exp", "11"]) == 0
     assert main(["zsigmondy", "--base", "1", "--exp", "11"]) == 2

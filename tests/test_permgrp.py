@@ -206,6 +206,34 @@ def test_bsgs_structure_golden():
         "0a30e2be4d9b8618295c3e09760025ae0dfd85c5947de2d6b6ff0bd22877723b")
 
 
+def test_rep_inverses_invert_the_reps():
+    m11 = [cyc(11, (2, 10), (4, 11), (5, 7), (8, 9)),
+           cyc(11, (1, 4, 3, 8), (2, 5, 6, 9))]
+    sp43 = GroupHandle.from_matrix_spec(GroupSpec("Sp", 4, 3))
+    for bsgs in (schreier_sims(m11), sp43.bsgs):
+        for level, trans in enumerate(bsgs.transversals):
+            for pt, rep in trans.items():
+                assert (bsgs._rep_inverse(level, pt) * rep).is_identity()
+                # the cached inverse is the one returned again
+                assert bsgs._rep_inverse(level, pt) is bsgs._rep_inverse(level, pt)
+
+
+def test_known_order_stops_complete_and_refuses_a_false_premise():
+    alt7 = [cyc(7, (1, 2, 3)), cyc(7, (1, 2, 3, 4, 5, 6, 7))]
+    stopped = schreier_sims(alt7, known_order=2520)
+    assert stopped.complete and stopped.order() == 2520
+    assert stopped.contains(alt7[0]) and not stopped.contains(cyc(7, (1, 2)))
+    # a transversal product above the known order refutes the premise; no
+    # product of orbit sizes <= 7 equals 11, so Sym(7) must pass it
+    with pytest.raises(ValueError, match="known order 11"):
+        schreier_sims([cyc(7, (1, 2)), alt7[1]], known_order=11)
+    # a proper subgroup builds to completion with its exact order
+    sub = schreier_sims(alt7[:1], known_order=2520)
+    assert sub.complete and sub.order() == 3
+    with pytest.raises(ValueError):
+        schreier_sims(alt7, stop_at=2520, known_order=2520)
+
+
 def test_bsgs_membership():
     gens = [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))]
     bsgs = schreier_sims(gens)

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from beauville.matgrp import BadField, GroupSpec, lineardim3_triple, standard_generators
+import beauville.structures as structures
+from beauville.matgrp import (
+    BadField,
+    GroupSpec,
+    SquareMatrix,
+    lineardim3_triple,
+    standard_generators,
+    suzuki_generators,
+)
 from beauville.permgrp import (
     Permutation,
     RandomSource,
@@ -11,6 +19,7 @@ from beauville.permgrp import (
     class_orbit,
     matrix_to_perm,
     mulclose,
+    orbit_partition,
     schreier_sims,
 )
 from beauville.structures import (
@@ -26,6 +35,7 @@ from beauville.structures import (
     NotGenerating,
     NotHyperbolic,
     Violation,
+    _same_orbits,
     condition_iii,
     element_of_order,
     gow_search,
@@ -44,7 +54,8 @@ def perm_handle(name, gens):
 
 
 def test_lineardim3_pair_generates_sl3():
-    for q, lmn in ((5, (5, 5, 12)), (7, (7, 7, 24)), (8, (4, 2, 63)), (9, (3, 3, 40))):
+    for q, lmn in ((5, (5, 5, 12)), (7, (7, 7, 24)), (8, (4, 2, 63)), (9, (3, 3, 40)),
+                   (13, (13, 13, 84))):
         G = GroupHandle.from_matrix_spec(GroupSpec("SL", 3, q))
         x, y, _ = lineardim3_triple(q)
         res = verify_triple(G, G.inject_matrix(x), G.inject_matrix(y))
@@ -115,6 +126,101 @@ def test_verify_triple_matches_full_schreier_sims_on_alt6():
     # every step of verify_triple decides some of the sample
     assert outcomes[ORBITS_DIFFER] and outcomes[OUTSIDE_G]
     assert outcomes["transitive Alt(5)"] and outcomes["accept"]
+
+
+# every SL, Sp and SU spec (quotient flag last) that the shipped catalog
+# and the tests realize
+CLASSICAL_REALIZATIONS = [
+    *[("SL", 2, q, False) for q in (5, 7, 8, 11, 13, 17, 19)],
+    *[("SL", 3, q, False) for q in (2, 3, 4, 5, 7, 8, 9, 13)],
+    ("SL", 4, 2, False), ("SL", 4, 3, False), ("SL", 4, 4, False), ("SL", 5, 2, False),
+    ("Sp", 4, 3, False), ("Sp", 4, 4, False), ("Sp", 4, 5, False),
+    ("SU", 3, 3, False), ("SU", 4, 2, False),
+    ("SL", 2, 11, True), ("SL", 2, 13, True),
+]
+
+
+@pytest.mark.parametrize("family,d,q,quotient", CLASSICAL_REALIZATIONS)
+def test_stopped_realization_equals_full_build(family, d, q, quotient):
+    G = GroupHandle.from_matrix_spec(GroupSpec(family, d, q), quotient=quotient)
+    stopped, full = G.bsgs, schreier_sims(G.perm_gens)
+    assert stopped.base == full.base
+    assert [list(t) for t in stopped.transversals] == [list(t) for t in full.transversals]
+    assert stopped.order() == full.order() == G.expected_order
+    assert stopped.complete and full.complete
+    rep = G.replacer(RandomSource(d * 1000 + q))
+    degree = G.perm_gens[0].degree
+    members = [rep.random_element() for _ in range(20)]
+    # no group here holds a transposition: it would fix degree - 2 >= 3
+    # points, and so a spanning set of vectors or points
+    odd = Permutation.from_cycles(degree, [(1, 2)])
+    for g in members:
+        assert stopped.contains(g) and full.contains(g)
+    for g in (odd, Permutation.identity(degree + 1)):
+        assert not stopped.contains(g) and not full.contains(g)
+
+
+def test_failed_membership_proof_builds_in_full(monkeypatch):
+    builds = []
+
+    def recording_schreier_sims(gens, *args, **kwargs):
+        bsgs = schreier_sims(gens, *args, **kwargs)
+        builds.append((kwargs.get("known_order"), bsgs))
+        return bsgs
+
+    monkeypatch.setattr(structures, "schreier_sims", recording_schreier_sims)
+    spec = GroupSpec("SL", 2, 3)
+    gens = standard_generators(spec)
+    ctx = gens[0].ctx
+    # diag(-1, 1) has determinant -1: with it <gens> is GL(2, 3), order 48
+    monkeypatch.setattr(structures, "standard_generators",
+                        lambda _: (*gens, SquareMatrix(ctx, [[2, 0], [0, 1]])))
+    with pytest.raises(ValueError, match="BSGS order 48 != formula/declared 24"):
+        GroupHandle.from_matrix_spec(spec)
+    (known, bsgs), = builds
+    assert known is None and bsgs.complete
+    # a proper subgroup passes the proof, but never reaches |G| = 24: it
+    # builds to completion and fails the same order check
+    builds.clear()
+    monkeypatch.setattr(structures, "standard_generators", lambda _: gens[:1])
+    with pytest.raises(ValueError, match="!= formula/declared 24"):
+        GroupHandle.from_matrix_spec(spec)
+    (known, bsgs), = builds
+    assert known == 24 and bsgs.complete and bsgs.order() == 3
+
+
+def test_same_orbits_matches_orbit_partition():
+    sl44 = GroupHandle.from_matrix_spec(GroupSpec("SL", 4, 4))
+    sz8 = GroupHandle.from_matrix_spec(suzuki_generators(8))
+    assert len(set(sl44.orbits)) == 1 and len(set(sz8.orbits)) > 1
+    rs = RandomSource(4242)
+    outcomes = Counter()
+    for G in (sl44, sz8):
+        rep = G.replacer(RandomSource(7))
+        labellings = [G.orbits]
+        for _ in range(20):
+            # cyclic subgroups and random pairs: mostly fewer orbits than G,
+            # sometimes the same ones
+            x, y = rep.random_element(), rep.random_element()
+            for gens in ((x, y), (x, x ** 2), (x,)):
+                labels = orbit_partition(gens)
+                labellings.append(labels)
+                for target in labellings[-4:]:
+                    same = _same_orbits(gens, target)
+                    assert same == (labels == target)
+                    outcomes[same] += 1
+                # mutated labels: one point moved to another orbit's label,
+                # and one orbit minimum relabelled
+                p = rs.randrange(len(labels))
+                moved = list(labels)
+                moved[p] = labels[(p + 1 + rs.randrange(len(labels) - 1)) % len(labels)]
+                minimum = list(labels)
+                m = labels[p]
+                minimum[m] = labels[-1] if labels[-1] != m else labels[0]
+                for mutant in (tuple(moved), tuple(minimum)):
+                    assert _same_orbits(gens, mutant) == (labels == mutant)
+                    outcomes[labels == mutant] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_condition_iii_coprime_fast_path():
