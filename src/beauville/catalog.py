@@ -289,7 +289,7 @@ def _builtin_args(source: str, fam: str, values: List[str]) -> Dict[str, int]:
     return args
 
 
-def realize_source(source: str, base_dir: str, cap: int = 10 ** 7,
+def realize_source(source: str, base_dir: str,
                    declared_order: Optional[int] = None) -> Optional[GroupHandle]:
     """Build a GroupHandle from a catalog source; None when the referenced
     file is absent (the entry is then Skipped).  A malformed source raises
@@ -302,17 +302,17 @@ def realize_source(source: str, base_dir: str, cap: int = 10 ** 7,
         args = _builtin_args(source, fam, parts[2:])
         try:
             if fam == "Sz":
-                return GroupHandle.from_matrix_spec(suzuki_generators(args["q"]), cap)
+                return GroupHandle.from_matrix_spec(suzuki_generators(args["q"]))
             if fam == "OmegaMinus":
                 spec = omega_minus_char2_generators(args["d"], args["q"])
-                return GroupHandle.from_matrix_spec(spec, cap)
+                return GroupHandle.from_matrix_spec(spec)
             if fam == "Alt":
                 n = args["n"]
                 return GroupHandle.from_permutations(
                     f"Alt_{n}", _alt_generators(n), math.factorial(n) // 2)
             quotient = fam.startswith("P")
             spec = GroupSpec(fam[1:] if quotient else fam, args["d"], args["q"])
-            return GroupHandle.from_matrix_spec(spec, cap, quotient=quotient)
+            return GroupHandle.from_matrix_spec(spec, quotient=quotient)
         except (BadField, TooManyPoints) as exc:
             raise CatalogDataError(f"source {source!r}: {exc}") from None
     if parts[0] == "file":
@@ -336,7 +336,7 @@ def realize_source(source: str, base_dir: str, cap: int = 10 ** 7,
                 spec = GroupSpec("Ingested", gens[0].d, gens[0].ctx.q,
                                  generators=tuple(gens), declared_order=declared_order,
                                  name=os.path.basename(parts[1]))
-                return GroupHandle.from_matrix_spec(spec, cap)
+                return GroupHandle.from_matrix_spec(spec)
         except (ValueError, AssertionError) as exc:
             raise CatalogDataError(f"{parts[1]}: {exc}") from exc
         raise CatalogDataError(f"{parts[1]}: unknown generator file header {header!r}")

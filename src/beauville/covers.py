@@ -20,7 +20,9 @@ in group terms, for n >= 5 every nontrivial normal subgroup of 2.Sym(n)
 contains z, and z acts as -I != I.  The 2^n coordinates on the basis
 monomials e_S (S a subset bitmask) stay available as the lazy view
 CoverElement.vec.  Elements carry their projection to Sym(n) so that
-generation can be certified downstairs.
+generation can be certified downstairs: two even projections generate a
+subgroup of Alt(n), so a Schreier-Sims build with known_order n!/2 proves
+whether they generate it.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def nodd_triple(n: int) -> NoddResult:
 
     Exactly one of (x, y, xy), (xz, y, xyz) has x-slot order n; the other
     has 2n.  Generation is certified by the projected pair generating
-    Alt(n) (BSGS order n!/2) plus an explicit word evaluating to z; the
+    Alt(n) (see _alt_order) plus an explicit word evaluating to z; the
     cover is a nonsplit extension, so such a word always exists.
     """
     if n % 2 == 0 or not 7 <= n <= 13:
@@ -362,10 +364,20 @@ def nodd_triple(n: int) -> NoddResult:
     v = y
     w = u * v
     assert cover_order(u) == n and cover_order(w) == n
-    alt_order = schreier_sims([u.perm, v.perm]).order()
+    alt_order = _alt_order(u, v)
     assert alt_order == math.factorial(n) // 2
     z_word = _exhibit_center(u, v, z)
     return NoddResult(n, uses_xz, (u, v, w), z_word, alt_order)
+
+
+def _alt_order(u: CoverElement, v: CoverElement) -> int:
+    """The order of the group the projections of u and v generate.  Both
+    must be even, which proves that group lies in Alt(n), the premise of
+    the build's known_order n!/2; an odd projection raises ValueError."""
+    gens = [u.perm, v.perm]
+    if any(sum(len(c) - 1 for c in g.cycles()) % 2 for g in gens):
+        raise ValueError("a projection is odd, so <u, v> is not in 2.Alt(n)")
+    return schreier_sims(gens, known_order=math.factorial(u.ctx.n) // 2).order()
 
 
 def _exhibit_center(u: CoverElement, v: CoverElement, z: CoverElement) -> str:
@@ -395,7 +407,10 @@ def _exhibit_center(u: CoverElement, v: CoverElement, z: CoverElement) -> str:
     raise ZNotExhibited("no candidate word evaluated to z")
 
 
-def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElement, CoverElement]:
+NEVEN_BUDGET = 3000  # draws per pinned element, and draws of the triple search
+
+
+def neven_search(n: int, seed: int = 0) -> Tuple[CoverElement, CoverElement]:
     """Seeded search for a type (5, n-1, n-1) triple in 2.Alt(n), even n.
 
     Mirrors the machine check behind the even-rank statement.  One element
@@ -403,8 +418,8 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
     randomized (conjugating the first element), which keeps the per-trial
     cost at a few algebra products.  The pinned pair is redrawn every
     REPIN_INTERVAL draws, as in search_by_type, so an unlucky pair cannot
-    wedge the search.  Both projections are even, so a Schreier-Sims build
-    stopped at n!/2 proves they generate Alt(n).
+    wedge the search.  Both projections are even, so _alt_order proves
+    whether they generate Alt(n).
     """
     if n % 2 or not 6 <= n <= 10:
         raise RankOutOfRange("neven_search supports even n in 6..10")
@@ -416,7 +431,7 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
         return word(cover, [1 + rs.randrange(n - 1) for _ in range(length)])
 
     def pinned_element(order: int) -> CoverElement:
-        for _ in range(budget):
+        for _ in range(NEVEN_BUDGET):
             g = random_even_element()
             og = g.perm.order()
             if og % order:
@@ -429,7 +444,7 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
     a0 = pinned_element(5)
     b0 = pinned_element(n - 1)
     target = math.factorial(n) // 2
-    for draw in range(1, budget + 1):
+    for draw in range(1, NEVEN_BUDGET + 1):
         if draw % REPIN_INTERVAL == 0:
             a0, b0 = pinned_element(5), pinned_element(n - 1)
         a = a0.conjugate(random_even_element())
@@ -437,11 +452,11 @@ def neven_search(n: int, seed: int = 0, budget: int = 3000) -> Tuple[CoverElemen
         # the cover order is o(projection) or twice it, and n - 1 is odd
         if not ab.perm.has_order(n - 1) or cover_order(ab) != n - 1:
             continue
-        if schreier_sims([a.perm, b0.perm], stop_at=target).order() != target:
+        if _alt_order(a, b0) != target:
             continue
         try:
             _exhibit_center(a, b0, cover.z)
         except ZNotExhibited:
             continue
         return a, b0
-    raise OrderExceedsBound(f"no (5,{n-1},{n-1}) triple within {budget} draws")
+    raise OrderExceedsBound(f"no (5,{n-1},{n-1}) triple within {NEVEN_BUDGET} draws")

@@ -14,12 +14,11 @@ with base points taken as first moved points, so the whole structure is a
 function of the generator list alone.  Schreier generators are formed only
 when they are taken off the work stack.  Orders, membership and the
 generation certificates used by the Beauville predicates all come from it.
-A build may also stop as soon as the product of its transversal sizes
-reaches a known order: for H = <gens> that product is a lower bound on |H|
-at every stage, so reaching |G| for some G containing H proves H = G.
-When H <= G is proven before the build (known_order), the stopped
-structure is complete.  Each transversal rep is inverted at most once, on
-first use in a sift, and the inverse is kept.
+A build whose caller has proven H = <gens> <= G stops as soon as the
+product of its transversal sizes, a lower bound on |H| at every stage,
+reaches |G| (known_order): that proves H = G, and the stopped structure is
+complete.  Each transversal rep is inverted at most once, on first use in
+a sift, and the inverse is kept.
 
 Conjugacy classes are closed a whole breadth-first layer at a time on
 numpy arrays of image rows.  The closure dedupes on the images of a base
@@ -44,7 +43,7 @@ from .matgrp import SquareMatrix, binary_power
 
 
 class TooManyPoints(ValueError):
-    """The requested action has more points than the configured cap."""
+    """The requested action has more than POINT_CAP points."""
 
 
 class BadN(ValueError):
@@ -53,6 +52,7 @@ class BadN(ValueError):
 
 CAP_EXCEEDED = object()  # sentinel returned by class_orbit when over cap
 DEFAULT_CAP = 200000  # largest class, in elements, that class closures build
+POINT_CAP = 10 ** 7  # most points a matrix group's point action may have
 
 
 class Permutation:
@@ -77,11 +77,11 @@ class Permutation:
         return _unchecked(_identity_bytes(n), n)
 
     @classmethod
-    def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]],
-                    one_based: bool = True) -> "Permutation":
+    def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
+        """The permutation of 0..n-1 with the given cycles on 1..n."""
         img = list(range(n))
         for cyc in cycles:
-            pts = [c - 1 for c in cyc] if one_based else list(cyc)
+            pts = [c - 1 for c in cyc]
             for a, b in zip(pts, pts[1:] + pts[:1]):
                 img[a] = b
         return cls(img)
@@ -244,22 +244,15 @@ def orbit_partition(gens: Sequence[Permutation]) -> Tuple[int, ...]:
 class BSGS:
     """Base, strong generators and per-level transversals for <gens>.
 
-    With stop_at the build returns as soon as order() reaches it, skipping
-    the final strip check.  The structure is then incomplete (complete is
-    False): order() is a lower bound on |<gens>| and contains() refuses.
-
-    With known_order the build returns as soon as order() reaches it too,
-    but complete: the caller has proven that <gens> lies in a group of that
+    With known_order the build returns as soon as order() reaches it,
+    complete: the caller has proven that <gens> lies in a group of that
     order (see schreier_sims).  A build that never reaches it runs to
     completion, and one that passes it raises.
     """
 
-    def __init__(self, gens: Sequence[Permutation], stop_at: Optional[int] = None,
-                 known_order: Optional[int] = None):
+    def __init__(self, gens: Sequence[Permutation], known_order: Optional[int] = None):
         if not gens:
             raise ValueError("need at least one generator")
-        if stop_at is not None and known_order is not None:
-            raise ValueError("stop_at and known_order exclude each other")
         self.degree = gens[0].degree
         if any(g.degree != self.degree for g in gens):
             raise ValueError("mixed degrees")
@@ -268,8 +261,7 @@ class BSGS:
         self.level_gens: List[List[Permutation]] = []
         self.transversals: List[Dict[int, Permutation]] = []
         self._inverses: List[Dict[int, Permutation]] = []
-        self.complete = True
-        self._build(stop_at, known_order)
+        self._build(known_order)
 
     # transversal[l][p] maps base[l] to p; reps are stable once assigned,
     # so an inverse rep, once computed, stays valid
@@ -336,7 +328,7 @@ class BSGS:
                         stack.append((rep, g, img, level))
             frontier = new_frontier
 
-    def _build(self, stop_at: Optional[int], known_order: Optional[int]) -> None:
+    def _build(self, known_order: Optional[int]) -> None:
         # entries (g, gen, img, level): strip g * gen * rep^-1 from level + 1,
         # rep the level's rep of img; the input generators have gen None and
         # strip from level 0
@@ -365,9 +357,6 @@ class BSGS:
                         f"<gens> has order at least {order} > known order {known_order}")
                 if order == known_order:
                     return
-            elif stop_at is not None and self.order() >= stop_at:
-                self.complete = False
-                return
         for g in self.gens:
             h, _ = self._strip(g)
             assert h.is_identity(), "strong generating set verification failed"
@@ -379,22 +368,14 @@ class BSGS:
         return out
 
     def contains(self, g: Permutation) -> bool:
-        if not self.complete:
-            raise ValueError("membership needs a complete BSGS")
         if g.degree != self.degree:
             return False
         h, _ = self._strip(g)
         return h.is_identity()
 
 
-def schreier_sims(gens: Sequence[Permutation], stop_at: Optional[int] = None,
-                  known_order: Optional[int] = None) -> BSGS:
+def schreier_sims(gens: Sequence[Permutation], known_order: Optional[int] = None) -> BSGS:
     """Deterministic BSGS for the group generated by gens.
-
-    With stop_at = |G| for some G known to contain <gens>, the build stops
-    once the proven lower bound on |<gens>| reaches |G|, which proves
-    <gens> = G; a smaller group is built to completion, so its order is
-    exact.  The stopped structure is marked incomplete.
 
     known_order = N carries a premise that the caller must have proven:
     <gens> lies in a group of order N.  The build then stops once its
@@ -407,7 +388,7 @@ def schreier_sims(gens: Sequence[Permutation], stop_at: Optional[int] = None,
     to completion with its exact order, and a product above N, which
     refutes the premise, raises ValueError.
     """
-    return BSGS(gens, stop_at, known_order)
+    return BSGS(gens, known_order)
 
 
 def mulclose(gens: Iterable, cap: Optional[int] = None):
@@ -459,12 +440,12 @@ def _normalize_projective(ctx: FieldCtx, vec: Tuple[int, ...]) -> Tuple[int, ...
 class PointAction:
     """A fixed enumeration of vector or projective points for one context."""
 
-    def __init__(self, ctx: FieldCtx, d: int, kind: str, cap: int = 10 ** 7):
+    def __init__(self, ctx: FieldCtx, d: int, kind: str):
         count = ctx.q ** d - 1
         if kind == "projective":
             count //= ctx.q - 1
-        if count > cap:
-            raise TooManyPoints(f"{count} points exceeds the cap {cap}")
+        if count > POINT_CAP:
+            raise TooManyPoints(f"{count} points exceeds the cap {POINT_CAP}")
         self.ctx = ctx
         self.d = d
         self.kind = kind
@@ -486,14 +467,14 @@ class PointAction:
         return Permutation(img)
 
 
-def matrix_to_perm(gens: Sequence[SquareMatrix], action: str = "vectors",
-                   cap: int = 10 ** 7) -> Tuple[List[Permutation], int, PointAction]:
+def matrix_to_perm(gens: Sequence[SquareMatrix],
+                   action: str = "vectors") -> Tuple[List[Permutation], int, PointAction]:
     """Permutation images of matrix generators on nonzero vectors or
     projective points.  The projective action has exactly the scalars as
     kernel, realizing the central quotient."""
     if not gens:
         raise ValueError("need at least one matrix")
-    act = PointAction(gens[0].ctx, gens[0].d, action, cap)
+    act = PointAction(gens[0].ctx, gens[0].d, action)
     return [act.permutation(M) for M in gens], len(act.points), act
 
 

@@ -20,8 +20,9 @@ Either way the order is compared with |G| for equality.
 
 verify_triple certifies generation without a full Schreier-Sims build of
 <x, y>: an orbit comparison that can only reject, membership of x and y in
-G proven through G's BSGS, and a build of <x, y> that stops once its
-proven lower bound on |<x, y>| reaches |G|.
+G proven through G's BSGS, which proves <x, y> <= G, and then a build of
+<x, y> with known_order |G|, which stops once its lower bound on
+|<x, y>| reaches |G|.
 """
 
 from __future__ import annotations
@@ -90,18 +91,18 @@ class GroupHandle:
         bsgs = schreier_sims(gens)
         order = bsgs.order()
         if expected_order is not None and order != expected_order:
-            raise ValueError(f"{name}: BSGS order {order} != declared {expected_order}")
+            raise ValueError(f"BSGS order {order} != declared {expected_order}")
         return cls(name, gens, order, bsgs)
 
     @classmethod
-    def from_matrix_spec(cls, spec: GroupSpec, cap: int = 10 ** 7,
-                         quotient: bool = False) -> "GroupHandle":
+    def from_matrix_spec(cls, spec: GroupSpec, quotient: bool = False) -> "GroupHandle":
         """Realize a matrix group through a permutation action.
 
-        By default the action is faithful: nonzero vectors when the center
-        is nontrivial (so covers keep their central elements), projective
-        points otherwise.  With quotient=True the projective action is used
-        regardless, realizing the central quotient (PSL and friends).
+        By default the action is faithful: nonzero vectors when the group
+        may hold scalars other than 1 (so covers keep their central
+        elements), projective points otherwise.  With quotient=True the
+        projective action is used regardless, realizing the central
+        quotient (PSL and friends).
 
         When _classical_bound proves the generators lie in the classical
         group, the BSGS build stops at that group's order (divided by the
@@ -121,14 +122,13 @@ class GroupHandle:
             name = "P" + name
         else:
             action = "vectors" if center > 1 else "projective"
-        perms, _, act = matrix_to_perm(gens, action, cap)
+        perms, _, act = matrix_to_perm(gens, action)
         bound = _classical_bound(spec, gens)
         if bound is not None and quotient:
             bound //= center
         bsgs = schreier_sims(perms, known_order=bound)
         if bsgs.order() != expected:
-            raise ValueError(
-                f"{name}: BSGS order {bsgs.order()} != formula/declared {expected}")
+            raise ValueError(f"BSGS order {bsgs.order()} != formula/declared {expected}")
         handle = cls(name, perms, expected, bsgs)
         handle.family = spec.family
         handle.q = spec.q
@@ -161,18 +161,19 @@ class GroupHandle:
 
 
 def _scalar_subgroup_order(spec: GroupSpec, ctx, d: int) -> int:
+    """The order of the group's subgroup of scalar matrices, or for a
+    family with no formula the number q - 1 of nonzero scalars of its
+    field, which bounds it: such a group acts faithfully on vectors
+    whenever the field has a scalar other than 1."""
     if spec.family == "SL":
         return math.gcd(d, spec.q - 1)
     if spec.family == "SU":
         return math.gcd(d, spec.q + 1)
     if spec.family == "Sp":
         return math.gcd(2, spec.q - 1)
-    if spec.family in ("SuzukiB2",):
+    if spec.family == "SuzukiB2":
         return 1
-    if spec.family in ("OmegaMinus", "OmegaPlus", "OmegaOdd") and spec.q == 2:
-        return 1
-    # conservative: check whether -1 is in the group via the generators' field
-    return 2 if ctx.p != 2 else 1
+    return ctx.q - 1
 
 
 def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[int]:
@@ -255,17 +256,17 @@ def verify_triple(G: GroupHandle, x, y) -> Union[HyperbolicTriple, NotGenerating
 
     Generation is proven in three steps.  The orbits of <x, y> must be G's:
     this prefilter only rejects, mostly after a walk over one orbit.  x and
-    y must lie in G, proven by stripping them through G's BSGS.  Then a
-    Schreier-Sims build of <x, y> stopped at |G| must reach |G|: its
-    transversal product is a lower bound on |<x, y>|, and <x, y> <= G, so
-    reaching |G| proves <x, y> = G.
+    y must lie in G, proven by stripping them through G's BSGS; that proves
+    <x, y> <= G, the premise of known_order.  Then the Schreier-Sims build
+    of <x, y> with known_order |G| must reach |G|: its transversal product
+    is a lower bound on |<x, y>|, so reaching |G| proves <x, y> = G.
     """
     gens = (x, y)
     if not _same_orbits(gens, G.orbits):
         return NotGenerating(gens, ORBITS_DIFFER)
     if not (G.bsgs.contains(x) and G.bsgs.contains(y)):
         return NotGenerating(gens, OUTSIDE_G)
-    sub = schreier_sims(gens, stop_at=G.expected_order).order()
+    sub = schreier_sims(gens, known_order=G.expected_order).order()
     if sub != G.expected_order:
         return NotGenerating(gens, PROPER_SUBGROUP)
     z = (x * y).inverse()

@@ -79,15 +79,19 @@ expected_types (2,2,2),(3,3,3)
         run_catalog(entries, CatalogOptions(base_dir=base))
 
 
-def test_matrix_file_ingestion(tmp_path):
-    gens = standard_generators(GroupSpec("SL", 2, 4))
-    d = 2
-    lines = [f"mat {d} 2 2 {len(gens)}"]
+def _matrix_file(gens, p, a):
+    """The `mat` generator file of matrices over GF(p^a)."""
+    lines = [f"mat {gens[0].d} {p} {a} {len(gens)}"]
     for g in gens:
         for row in g.rows:
             lines.append(" ".join(",".join(str(c) for c in g.ctx._decode(v))
                                   for v in row))
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def test_matrix_file_ingestion(tmp_path):
+    gens = standard_generators(GroupSpec("SL", 2, 4))
+    text = _matrix_file(gens, 2, 2)
     mats = parse_matrix_file(text)
     assert mats == list(gens)
     # run an entry over the ingested file: SL2(4) = Alt(5) has no Beauville
@@ -104,6 +108,16 @@ expected_types (5,5,5),(5,5,5)
     entries, base = load_catalog_file(str(cat))
     report = run_catalog(entries, CatalogOptions(base_dir=base))
     assert report.entries[0].status == "Violation"
+
+
+def test_matrix_file_keeps_its_scalars(tmp_path):
+    # SL3(4) holds the scalars of order 3, which the projective points of
+    # GF(4)^3 would lose: the file must act on the 63 nonzero vectors
+    (tmp_path / "sl34.mat").write_text(
+        _matrix_file(standard_generators(GroupSpec("SL", 3, 4)), 2, 2))
+    G = realize_source("file:sl34.mat", str(tmp_path), declared_order=60480)
+    assert G.expected_order == G.bsgs.order() == 60480
+    assert G.perm_gens[0].degree == 63
 
 
 def test_report_determinism_same_seed():

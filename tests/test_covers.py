@@ -105,6 +105,15 @@ def test_nodd_triple():
         nodd_triple(5)
 
 
+def test_alt_order_needs_even_projections():
+    cover = build_cover(7)
+    x, y = standard_xy(cover)
+    assert covers_module._alt_order(x, y) == math.factorial(7) // 2
+    # t_1 and t_2 project to transpositions, which lie outside Alt(7)
+    with pytest.raises(ValueError, match="odd"):
+        covers_module._alt_order(cover.t[1], cover.t[2])
+
+
 def test_neven_search_n6():
     a, b = neven_search(6, seed=1)
     assert cover_order(a) == 5

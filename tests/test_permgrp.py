@@ -164,24 +164,15 @@ def test_bsgs_vs_exhaustive_enumeration():
         ("C7xC2", [cyc(9, (1, 2, 3, 4, 5, 6, 7)), cyc(9, (8, 9))]),
     ]
     for name, gens in suites:
-        order = len(mulclose(gens))
+        els = mulclose(gens)
+        order = len(els)
         assert schreier_sims(gens).order() == order, name
-        # stopped at the true order, the lower bound is already exact
-        stopped = schreier_sims(gens, stop_at=order)
+        # stopped at the true order, the structure is already complete
+        stopped = schreier_sims(gens, known_order=order)
         assert stopped.order() == order, name
-        assert schreier_sims(gens, stop_at=order + 1).complete, name
-
-
-def test_stopped_bsgs_is_incomplete():
-    gens = [cyc(7, (1, 2, 3)), cyc(7, (1, 2, 3, 4, 5, 6, 7))]
-    full = schreier_sims(gens)
-    stopped = schreier_sims(gens, stop_at=2520)
-    assert full.complete and not stopped.complete
-    assert stopped.order() == 2520
-    with pytest.raises(ValueError):
-        stopped.contains(gens[0])
-    # a small stop bound only proves a lower bound
-    assert 2 <= schreier_sims(gens, stop_at=2).order() <= 2520
+        assert all(stopped.contains(g) for g in els), name
+        # a bound that is never reached builds to completion
+        assert schreier_sims(gens, known_order=order + 1).order() == order, name
 
 
 def test_bsgs_structure_golden():
@@ -221,7 +212,7 @@ def test_rep_inverses_invert_the_reps():
 def test_known_order_stops_complete_and_refuses_a_false_premise():
     alt7 = [cyc(7, (1, 2, 3)), cyc(7, (1, 2, 3, 4, 5, 6, 7))]
     stopped = schreier_sims(alt7, known_order=2520)
-    assert stopped.complete and stopped.order() == 2520
+    assert stopped.order() == 2520
     assert stopped.contains(alt7[0]) and not stopped.contains(cyc(7, (1, 2)))
     # a transversal product above the known order refutes the premise; no
     # product of orbit sizes <= 7 equals 11, so Sym(7) must pass it
@@ -229,9 +220,7 @@ def test_known_order_stops_complete_and_refuses_a_false_premise():
         schreier_sims([cyc(7, (1, 2)), alt7[1]], known_order=11)
     # a proper subgroup builds to completion with its exact order
     sub = schreier_sims(alt7[:1], known_order=2520)
-    assert sub.complete and sub.order() == 3
-    with pytest.raises(ValueError):
-        schreier_sims(alt7, stop_at=2520, known_order=2520)
+    assert sub.order() == 3
 
 
 def test_bsgs_membership():
