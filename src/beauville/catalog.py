@@ -43,7 +43,7 @@ from .matgrp import (
 )
 from .ffield import get_field
 from .numtheory import factorize
-from .permgrp import Permutation, TooManyPoints, parse_perm_file
+from .permgrp import Permutation, TooManyPoints, alt_bsgs, parse_perm_file
 from .structures import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
@@ -308,8 +308,9 @@ def realize_source(source: str, base_dir: str,
                 return GroupHandle.from_matrix_spec(spec)
             if fam == "Alt":
                 n = args["n"]
+                gens = _alt_generators(n)
                 return GroupHandle.from_permutations(
-                    f"Alt_{n}", _alt_generators(n), math.factorial(n) // 2)
+                    f"Alt_{n}", gens, math.factorial(n) // 2, alt_bsgs(gens))
             quotient = fam.startswith("P")
             spec = GroupSpec(fam[1:] if quotient else fam, args["d"], args["q"])
             return GroupHandle.from_matrix_spec(spec, quotient=quotient)

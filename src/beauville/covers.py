@@ -35,7 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .matgrp import binary_power
-from .permgrp import Permutation, RandomSource, schreier_sims
+from .permgrp import Permutation, RandomSource, alt_bsgs
 from .structures import REPIN_INTERVAL
 
 _P = 7
@@ -342,7 +342,7 @@ def nodd_triple(n: int) -> NoddResult:
 
     Exactly one of (x, y, xy), (xz, y, xyz) has x-slot order n; the other
     has 2n.  Generation is certified by the projected pair generating
-    Alt(n) (see _alt_order) plus an explicit word evaluating to z; the
+    Alt(n) (see permgrp.alt_bsgs) plus an explicit word evaluating to z; the
     cover is a nonsplit extension, so such a word always exists.
     """
     if n % 2 == 0 or not 7 <= n <= 13:
@@ -364,20 +364,10 @@ def nodd_triple(n: int) -> NoddResult:
     v = y
     w = u * v
     assert cover_order(u) == n and cover_order(w) == n
-    alt_order = _alt_order(u, v)
+    alt_order = alt_bsgs([u.perm, v.perm]).order()
     assert alt_order == math.factorial(n) // 2
     z_word = _exhibit_center(u, v, z)
     return NoddResult(n, uses_xz, (u, v, w), z_word, alt_order)
-
-
-def _alt_order(u: CoverElement, v: CoverElement) -> int:
-    """The order of the group the projections of u and v generate.  Both
-    must be even, which proves that group lies in Alt(n), the premise of
-    the build's known_order n!/2; an odd projection raises ValueError."""
-    gens = [u.perm, v.perm]
-    if any(sum(len(c) - 1 for c in g.cycles()) % 2 for g in gens):
-        raise ValueError("a projection is odd, so <u, v> is not in 2.Alt(n)")
-    return schreier_sims(gens, known_order=math.factorial(u.ctx.n) // 2).order()
 
 
 def _exhibit_center(u: CoverElement, v: CoverElement, z: CoverElement) -> str:
@@ -418,7 +408,7 @@ def neven_search(n: int, seed: int = 0) -> Tuple[CoverElement, CoverElement]:
     randomized (conjugating the first element), which keeps the per-trial
     cost at a few algebra products.  The pinned pair is redrawn every
     REPIN_INTERVAL draws, as in search_by_type, so an unlucky pair cannot
-    wedge the search.  Both projections are even, so _alt_order proves
+    wedge the search.  Both projections are even, so permgrp.alt_bsgs proves
     whether they generate Alt(n).
     """
     if n % 2 or not 6 <= n <= 10:
@@ -452,7 +442,7 @@ def neven_search(n: int, seed: int = 0) -> Tuple[CoverElement, CoverElement]:
         # the cover order is o(projection) or twice it, and n - 1 is odd
         if not ab.perm.has_order(n - 1) or cover_order(ab) != n - 1:
             continue
-        if _alt_order(a, b0) != target:
+        if alt_bsgs([a.perm, b0.perm]).order() != target:
             continue
         try:
             _exhibit_center(a, b0, cover.z)

@@ -21,24 +21,26 @@ Arithmetic on codes is table lookups, built once per context:
   GF(625).  A flat q x q addition table would hold 390,625 for GF(625).
 * Negation: one table, neg[c] = -c.
 
-exp, log and neg are built for q <= 2^16, spread and fold when also
-(2p - 1)^a <= 2^18: every field of size up to 3,162, and so every field
-whose action in dimension 2 or more fits the default realization cap of
-10^7 points.  A larger field keeps the slower paths: polynomial products
-beyond 2^16, and base-p digit loops (XOR for p = 2) for sums where the
-fold table would be huge (p = 2 with a >= 12, say; no such field is built
-by the package).  Matrices over such a field are refused (see matgrp).
+Every context has all five tables.  get_field refuses, with BadField, a
+field whose tables would pass the limits: q > 2^16 for exp and log, or
+(2p - 1)^a > 2^18 for spread and fold.  Every field of size below 4,096
+is supported; GF(2^12) is the least refused field.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .numtheory import factorize, is_prime
 
 _TABLE_LIMIT = 1 << 16
 _SPREAD_LIMIT = 1 << 18
+
+
+class BadField(ValueError):
+    """The field is not supported, or a construction is not available over it."""
 
 
 class NotInSubfield(ValueError):
@@ -175,32 +177,41 @@ def get_field_of_order(q: int) -> "FieldCtx":
 class FieldCtx:
     """GF(p^a) with canonical modulus and table-backed arithmetic on codes.
 
-    The tables (see the module docstring) are public so that the matrix
-    kernels in matgrp can read them without a method call per entry: exp,
-    log and neg are None when q > 2^16, spread and fold also when
-    (2p - 1)^a > 2^18.
+    The exp, log, neg, spread and fold tables (see the module docstring)
+    are public so that the matrix kernels in matgrp can read them without a
+    method call per entry.  A field whose tables would pass the limits is
+    refused with BadField.
     """
 
     def __init__(self, p: int, a: int):
         if not is_prime(p):
             raise ValueError("p must be prime")
-        if a < 1 or a > 16:
-            raise ValueError("degree out of supported range 1..16")
+        if a < 1:
+            raise ValueError("degree must be at least 1")
+        q = p ** a
+        radix = 2 * p - 1  # a digit sum of two codes is at most 2p - 2
+        if q > _TABLE_LIMIT or radix ** a > _SPREAD_LIMIT:
+            raise BadField(f"GF({q}) is not supported: its arithmetic tables "
+                           "would be too large")
         self.p = p
         self.a = a
-        self.q = p ** a
+        self.q = q
         self.modulus = _least_irreducible(p, a)
-        self._weights = tuple(p ** i for i in range(a))
-        self._order_fac = factorize(self.q - 1) if self.q > 2 else factorize(1)
-        self.exp: Optional[List[int]] = None
-        self.log: Optional[List[int]] = None
-        self.neg: Optional[List[int]] = None
-        self.spread: Optional[List[int]] = None
-        self.fold: Optional[List[int]] = None
-        self._gen_code: Optional[int] = None
+        self._weights = weights = tuple(p ** i for i in range(a))
         self._trace_zero: Optional[Tuple["FieldElement", ...]] = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        gen = self._find_generator()
+        # exp is cyclic on [0, 2(q - 1)) and zero on [2(q - 1), 4(q - 1)],
+        # the range of log[i] + log[j] once either log is the sentinel
+        self.exp = exp = [0] * (4 * (q - 1) + 1)
+        self.log = log = [2 * (q - 1)] * q
+        acc = 1
+        for k in range(q - 1):
+            exp[k] = exp[k + q - 1] = acc
+            log[acc] = k
+            acc = self._slow_mul(acc, gen)
+        self.neg = _digit_map([-t % p for t in range(p)], weights)
+        self.spread = _digit_map(range(p), [radix ** i for i in range(a)])
+        self.fold = _digit_map([t % p for t in range(radix)], weights)
 
     # -- code <-> coefficient vector
 
@@ -223,34 +234,12 @@ class FieldCtx:
         prod += [0] * (self.a - len(prod))
         return self._encode(prod)
 
-    def _build_tables(self) -> None:
-        p, a, q = self.p, self.a, self.q
-        gen = self._find_generator()
-        self._gen_code = gen
-        # exp is cyclic on [0, 2(q - 1)) and zero on [2(q - 1), 4(q - 1)],
-        # the range of log[i] + log[j] once either log is the sentinel
-        exp = [0] * (4 * (q - 1) + 1)
-        log = [2 * (q - 1)] * q
-        acc = 1
-        for k in range(q - 1):
-            exp[k] = exp[k + q - 1] = acc
-            log[acc] = k
-            acc = self._slow_mul(acc, gen)
-        self.exp = exp
-        self.log = log
-        weights = self._weights
-        self.neg = _digit_map([-t % p for t in range(p)], weights)
-        radix = 2 * p - 1  # a digit sum of two codes is at most 2p - 2
-        if radix ** a <= _SPREAD_LIMIT:
-            self.spread = _digit_map(range(p), [radix ** i for i in range(a)])
-            self.fold = _digit_map([t % p for t in range(radix)], weights)
-
     def _find_generator(self) -> int:
         # least code in lex coefficient order whose order is q - 1
         if self.q == 2:
             return 1
         target = self.q - 1
-        primes = self._order_fac.primes
+        primes = factorize(target).primes
         for coeffs in itertools.product(range(self.p), repeat=self.a):
             code = self._encode(coeffs)
             if code == 0:
@@ -315,52 +304,25 @@ class FieldCtx:
         return self._trace_zero
 
     def mul_code(self, i: int, j: int) -> int:
-        if self.exp is not None:
-            return self.exp[self.log[i] + self.log[j]]
-        return self._slow_mul(i, j)
+        return self.exp[self.log[i] + self.log[j]]
 
     def add_code(self, i: int, j: int) -> int:
-        if self.fold is not None:
-            return self.fold[self.spread[i] + self.spread[j]]
-        p = self.p
-        if p == 2:
-            return i ^ j
-        out = 0
-        for w in self._weights:
-            out += ((i + j) % p) * w
-            i //= p
-            j //= p
-        return out
+        return self.fold[self.spread[i] + self.spread[j]]
 
     def neg_code(self, i: int) -> int:
-        if self.neg is not None:
-            return self.neg[i]
-        p = self.p
-        if p == 2:
-            return i
-        out = 0
-        for w in self._weights:
-            out += (-i % p) * w
-            i //= p
-        return out
+        return self.neg[i]
 
     def inv_code(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if self.exp is not None:
-            return self.exp[self.q - 1 - self.log[i]]
-        return self._slow_pow(i, self.q - 2)
+        return self.exp[self.q - 1 - self.log[i]]
 
     def pow_code(self, i: int, e: int) -> int:
         if i == 0:
             if e < 0:
                 raise ZeroDivisionError("field inverse of zero")
             return 0 if e else 1
-        if self.exp is not None:
-            return self.exp[(self.log[i] * e) % (self.q - 1)]
-        if e < 0:
-            return self._slow_pow(self.inv_code(i), -e)
-        return self._slow_pow(i, e)
+        return self.exp[(self.log[i] * e) % (self.q - 1)]
 
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.a > 1 else f"GF({self.p})"
@@ -439,11 +401,8 @@ class FieldElement:
     def multiplicative_order(self) -> int:
         if self.code == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        e = self.ctx.q - 1
-        for r in self.ctx._order_fac.primes:
-            while e % r == 0 and self.ctx.pow_code(self.code, e // r) == 1:
-                e //= r
-        return e
+        m = self.ctx.q - 1
+        return m // math.gcd(self.ctx.log[self.code], m)
 
     def serialize(self) -> str:
         """Comma-separated coefficient list, low degree first."""
@@ -469,12 +428,9 @@ def frobenius(x: FieldElement, k: int = 1) -> FieldElement:
 
 
 def multiplicative_generator(ctx: FieldCtx) -> FieldElement:
-    """Least generator of the multiplicative group (order certified)."""
-    if ctx._gen_code is None:
-        ctx._gen_code = ctx._find_generator()
-    g = FieldElement(ctx, ctx._gen_code)
-    assert g.multiplicative_order() == ctx.q - 1
-    return g
+    """Least generator of the multiplicative group (order certified when
+    the context was built): exp[1], the base of the exp/log tables."""
+    return FieldElement(ctx, ctx.exp[1])
 
 
 def subfield_conjugate(x: FieldElement) -> FieldElement:

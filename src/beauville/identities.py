@@ -49,43 +49,53 @@ def _pick(pool: Sequence, rs: RandomSource):
     return pool[rs.randrange(len(pool))]
 
 
-def lineardim3_suite(q: int, trials: int, seed: int) -> int:
-    ctx = get_field_of_order(q)
-    rs = RandomSource(seed)
+def _mismatches(trials: int, draw, form=None) -> int:
+    """How many of `trials` draws fail: draw() returns matrices x, y and
+    the printed charpoly of x*y, and x, y must also preserve form, if one
+    is given."""
     mismatches = 0
     for _ in range(trials):
-        a = _rand_element(ctx, rs)
-        b = _rand_element(ctx, rs)
-        x, y = lineardim3_matrices(q, a, b)
-        if charpoly(x * y) != lineardim3_charpoly(a, b):
-            mismatches += 1
-    return mismatches
-
-
-def u41_suite(q: int, trials: int, seed: int) -> int:
-    p, h = factorize(q).factors[0]
-    ctx = get_field(p, 2 * h)
-    form = antidiagonal_form(ctx, 4, "hermitian")
-    trace_zero = ctx.trace_zero()
-    nonzero_trace_zero = trace_zero[1:]
-    rs = RandomSource(seed)
-    mismatches = 0
-    for _ in range(trials):
-        e = _pick(nonzero_trace_zero, rs)
-        b = _rand_element(ctx, rs)
-        c = _pick(trace_zero, rs)
-        x, y = u41_matrices(e, b, c)
-        ok = (form.preserves(x) and form.preserves(y)
-              and charpoly(x * y) == u41_charpoly(e, b, c))
+        x, y, printed = draw()
+        ok = ((form is None or (form.preserves(x) and form.preserves(y)))
+              and charpoly(x * y) == printed)
         if not ok:
             mismatches += 1
     return mismatches
 
 
+def lineardim3_suite(q: int, trials: int, seed: int) -> int:
+    ctx = get_field_of_order(q)
+    rs = RandomSource(seed)
+
+    def draw():
+        a = _rand_element(ctx, rs)
+        b = _rand_element(ctx, rs)
+        x, y = lineardim3_matrices(q, a, b)
+        return x, y, lineardim3_charpoly(a, b)
+
+    return _mismatches(trials, draw)
+
+
+def u41_suite(q: int, trials: int, seed: int) -> int:
+    p, h = factorize(q).factors[0]
+    ctx = get_field(p, 2 * h)
+    trace_zero = ctx.trace_zero()
+    nonzero_trace_zero = trace_zero[1:]
+    rs = RandomSource(seed)
+
+    def draw():
+        e = _pick(nonzero_trace_zero, rs)
+        b = _rand_element(ctx, rs)
+        c = _pick(trace_zero, rs)
+        x, y = u41_matrices(e, b, c)
+        return x, y, u41_charpoly(e, b, c)
+
+    return _mismatches(trials, draw, antidiagonal_form(ctx, 4, "hermitian"))
+
+
 def u3_suite(q: int, trials: int, seed: int) -> int:
     p, h = factorize(q).factors[0]
     ctx = get_field(p, 2 * h)
-    form = antidiagonal_form(ctx, 3, "hermitian")
     rs = RandomSource(seed)
     # admissible (a, b): b + b^q + a a^q = 0; sample a and then b from the
     # matching trace fiber, whose zero fiber is the trace-zero set
@@ -96,46 +106,38 @@ def u3_suite(q: int, trials: int, seed: int) -> int:
         if t:
             fibers.setdefault(t, []).append(el)
     nonzero_trace_zero = trace_zero[1:]
-    mismatches = 0
-    for _ in range(trials):
+
+    def draw():
         e = _pick(nonzero_trace_zero, rs)
         a = _rand_element(ctx, rs)
         b = _pick(fibers[(-(a * a ** q)).code], rs)
         x, y = u3_matrices(e, a, b)
-        ok = (form.preserves(x) and form.preserves(y)
-              and charpoly(x * y) == u3_charpoly(e, a, b))
-        if not ok:
-            mismatches += 1
-    return mismatches
+        return x, y, u3_charpoly(e, a, b)
+
+    return _mismatches(trials, draw, antidiagonal_form(ctx, 3, "hermitian"))
 
 
 def sp42_suite(q: int, trials: int, seed: int) -> int:
     ctx = get_field_of_order(q)
-    form = antidiagonal_form(ctx, 4, "symplectic")
     rs = RandomSource(seed)
-    mismatches = 0
     if ctx.p == 2:
         squares = {(beta * beta + beta).code for beta in ctx.elements()}
         lams = [el for el in ctx.elements() if el.code not in squares]
-        for _ in range(trials):
+
+        def draw():
             a = _rand_element(ctx, rs)
             b = _rand_element(ctx, rs)
             lam = _pick(lams, rs)
             x, y = sp42_matrices_even(a, b, lam)
-            ok = (form.preserves(x) and form.preserves(y)
-                  and charpoly(x * y) == sp42_charpoly_even(a, b, lam))
-            if not ok:
-                mismatches += 1
+            return x, y, sp42_charpoly_even(a, b, lam)
     else:
-        for _ in range(trials):
+        def draw():
             a = _rand_element(ctx, rs)
             b = _rand_element(ctx, rs)
             x, y = sp42_matrices_odd(a, b)
-            ok = (form.preserves(x) and form.preserves(y)
-                  and charpoly(x * y) == sp42_charpoly_odd(a, b))
-            if not ok:
-                mismatches += 1
-    return mismatches
+            return x, y, sp42_charpoly_odd(a, b)
+
+    return _mismatches(trials, draw, antidiagonal_form(ctx, 4, "symplectic"))
 
 
 _SUITES = {

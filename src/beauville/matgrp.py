@@ -14,10 +14,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numtheory import Factorization, factorize, lambda_value
 from .ffield import (
+    BadField,
     FieldCtx,
     FieldElement,
     embed_subfield,
-    frobenius,
     get_field,
     get_field_of_order,
     multiplicative_generator,
@@ -25,10 +25,6 @@ from .ffield import (
     sqrt_element,
     trace_zero_sample,
 )
-
-
-class BadField(ValueError):
-    """The construction is not available over this field."""
 
 
 class UnsupportedFamily(ValueError):
@@ -69,16 +65,13 @@ class SquareMatrix:
 
     The kernels (products, the vector action, elimination, Frobenius,
     charpoly) read the context's exp/log, spread/fold and neg tables
-    directly, so the field must have them: see ffield for which fields do.
-    Results built here skip the row checks of __init__.
+    directly; every context has them (see ffield).  Results built here
+    skip the row checks of __init__.
     """
 
     __slots__ = ("ctx", "d", "rows")
 
     def __init__(self, ctx: FieldCtx, rows: Sequence[Sequence[int]]):
-        if ctx.fold is None:
-            raise ValueError(f"matrices over {ctx!r} are not supported: "
-                             "its addition table would be too large")
         self.ctx = ctx
         self.rows = tuple(map(tuple, rows))
         self.d = d = len(self.rows)

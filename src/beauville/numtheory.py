@@ -330,14 +330,13 @@ class ZsigmondyResult:
     """
 
     __slots__ = ("base", "exponent", "primitive_part", "classification",
-                 "_ceiling", "_zeta", "_lam")
+                 "_zeta", "_lam")
 
-    def __init__(self, base: int, exponent: int, ceiling: int = DEFAULT_CEILING):
+    def __init__(self, base: int, exponent: int):
         if base < 2 or exponent < 2:
             raise ValueError("need base > 1 and exponent > 1")
         self.base = base
         self.exponent = exponent
-        self._ceiling = ceiling
         self._zeta: Optional[int] = None
         self._lam: Optional[int] = None
         part = primitive_part(base, exponent)
@@ -367,7 +366,7 @@ class ZsigmondyResult:
         if not self.zeta_exists:
             return None
         if self._zeta is None:
-            fac = factorize(self.primitive_part, self._ceiling)
+            fac = factorize(self.primitive_part)
             self._zeta = max(fac.primes)
             self._lam = self._zeta ** fac.multiplicity(self._zeta)
         return self._zeta
@@ -384,9 +383,9 @@ class ZsigmondyResult:
                 f"classification={self.classification.value})")
 
 
-def zsigmondy(a: int, n: int, ceiling: int = DEFAULT_CEILING) -> ZsigmondyResult:
+def zsigmondy(a: int, n: int) -> ZsigmondyResult:
     """Zsigmondy classification of (a, n); see ZsigmondyResult."""
-    return ZsigmondyResult(a, n, ceiling)
+    return ZsigmondyResult(a, n)
 
 
 def lambda_value(n: int, p: int) -> int:

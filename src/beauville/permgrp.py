@@ -608,8 +608,18 @@ def alt_triple(n: int) -> Tuple[Permutation, Permutation, Tuple[int, int, int]]:
         z = x * y
         expected = (math.lcm(3, n - 3), n - 2, 3)
     assert (x.order(), y.order(), z.order()) == expected
-    assert schreier_sims([x, y]).order() == math.factorial(n) // 2
+    assert alt_bsgs([x, y]).order() == math.factorial(n) // 2
     return x, y, expected
+
+
+def alt_bsgs(gens: Sequence[Permutation]) -> BSGS:
+    """The BSGS of <gens>, for even permutations of n points.  Evenness
+    proves <gens> <= Alt(n), the premise of the build's known_order n!/2,
+    so the build stops complete at n!/2; an odd generator raises
+    ValueError."""
+    if any(sum(len(c) - 1 for c in g.cycles()) % 2 for g in gens):
+        raise ValueError("an odd generator puts <gens> outside Alt(n)")
+    return schreier_sims(gens, known_order=math.factorial(gens[0].degree) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ reaches the formula order |G|.  That is a proof, not a guess: each matrix
 generator is first checked to lie in G (determinant 1, and for Sp and SU
 the antidiagonal form that the standard generators are built on), so
 |<gens>| <= |G|, and a lower bound reaching that upper bound makes the
-BSGS complete (see permgrp.schreier_sims).  Sz, Omega^-, ingested matrix
-files and permutation sources have no such proof and build in full.
+BSGS complete (see permgrp.schreier_sims).  The builtin Alt(n) has even
+generators, so it stops at n!/2 the same way (permgrp.alt_bsgs).  Sz,
+Omega^-, ingested matrix files and permutation files have no such proof
+and build in full.
 Either way the order is compared with |G| for equality.
 
 verify_triple certifies generation without a full Schreier-Sims build of
@@ -67,8 +69,9 @@ class GroupHandle:
     The orbit partition and a complete BSGS, which verify_triple uses, are
     computed on first use and kept; the realization constructors keep the
     BSGS that certified the order.  For SL, Sp, SU and their quotients that
-    BSGS was stopped at |G| after the generators were proven to lie in G,
-    which makes it complete; every other realization builds it in full.
+    BSGS, and that of the builtin Alt(n), was stopped at |G| after the
+    generators were proven to lie in G, which makes it complete; every
+    other realization builds it in full.
     """
 
     def __init__(self, name: str, perm_gens: Sequence[Permutation],
@@ -87,8 +90,12 @@ class GroupHandle:
 
     @classmethod
     def from_permutations(cls, name: str, gens: Sequence[Permutation],
-                          expected_order: Optional[int] = None) -> "GroupHandle":
-        bsgs = schreier_sims(gens)
+                          expected_order: Optional[int] = None,
+                          bsgs: Optional[BSGS] = None) -> "GroupHandle":
+        """A handle on <gens>, built in full unless a complete BSGS of
+        <gens> is given; its order must equal expected_order, if given."""
+        if bsgs is None:
+            bsgs = schreier_sims(gens)
         order = bsgs.order()
         if expected_order is not None and order != expected_order:
             raise ValueError(f"BSGS order {order} != declared {expected_order}")
@@ -108,7 +115,7 @@ class GroupHandle:
         group, the BSGS build stops at that group's order (divided by the
         scalars for a quotient); otherwise it runs in full.
         """
-        gens = list(spec.generators or standard_generators(spec))
+        gens = list(standard_generators(spec))
         if spec.declared_order is not None:
             expected = spec.declared_order
         else:

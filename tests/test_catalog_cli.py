@@ -18,7 +18,7 @@ from beauville.catalog import (
 )
 from beauville.cli import main
 from beauville.matgrp import GroupSpec, standard_generators
-from beauville.permgrp import Permutation
+from beauville.permgrp import Permutation, schreier_sims
 from beauville.structures import GroupHandle
 
 
@@ -151,6 +151,14 @@ expected_types (4,4,17),(5,5,5)
     assert report.certificate == "CoprimeOrders"
 
 
+@pytest.mark.parametrize("n", [5, 8, 9])
+def test_builtin_alt_stops_complete_at_its_order(n):
+    G = realize_source(f"builtin:Alt:{n}", ".")
+    full = schreier_sims(G.perm_gens)
+    assert G.bsgs.base == full.base and G.bsgs.order() == full.order() == G.expected_order
+    assert [list(t) for t in G.bsgs.transversals] == [list(t) for t in full.transversals]
+
+
 def test_construction_outside_the_group_fails_cleanly():
     text = """group Sp_4_4
 source builtin:Sp:4:4
@@ -218,6 +226,8 @@ expected_types (5,5,5),(5,5,5)
     ("builtin:Sz:6", "6 is not a prime power"),
     ("builtin:OmegaMinus:5:2", "need even d >= 4"),
     ("builtin:SL:9:16", "exceeds the cap"),
+    ("builtin:PSL:2:4096", "GF(4096) is not supported"),
+    ("builtin:SL:2:70001", "GF(70001) is not supported"),
 ])
 def test_malformed_builtin_source_is_a_data_error(tmp_path, capsys, source, message):
     text = f"""group BAD

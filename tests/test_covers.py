@@ -18,7 +18,7 @@ from beauville.covers import (
     word,
 )
 from beauville.matgrp import GroupSpec, SquareMatrix, standard_generators
-from beauville.permgrp import Permutation, RandomSource, mulclose, schreier_sims
+from beauville.permgrp import Permutation, RandomSource, alt_bsgs, mulclose, schreier_sims
 
 
 def test_presentation_relations():
@@ -108,10 +108,10 @@ def test_nodd_triple():
 def test_alt_order_needs_even_projections():
     cover = build_cover(7)
     x, y = standard_xy(cover)
-    assert covers_module._alt_order(x, y) == math.factorial(7) // 2
+    assert alt_bsgs([x.perm, y.perm]).order() == math.factorial(7) // 2
     # t_1 and t_2 project to transpositions, which lie outside Alt(7)
     with pytest.raises(ValueError, match="odd"):
-        covers_module._alt_order(cover.t[1], cover.t[2])
+        alt_bsgs([cover.t[1].perm, cover.t[2].perm])
 
 
 def test_neven_search_n6():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from beauville.ffield import (
+    BadField,
     FieldCtx,
     NotInSubfield,
     _is_irreducible,
@@ -249,12 +250,16 @@ def test_table_layout():
     assert [len(get_field(p, a).fold) for p, a in [(5, 4), (23, 2), (2, 8)]] == [6561, 2025, 6561]
 
 
-def test_fields_without_fold_tables_keep_digit_loops():
-    # 3^12 and 5^8 fold entries: above the table limit, so sums fall back
-    # to XOR (p = 2) and base-p digit loops, while products keep exp/log
-    for p, a in [(2, 12), (3, 8)]:
+def test_get_field_refuses_fields_without_tables():
+    # 3^12 and 5^8 fold entries are over 2^18, and 70,001 log entries over
+    # 2^16, so these fields are refused before any table is built
+    for args in [(2, 12), (3, 8), (70001,)]:
+        with pytest.raises(BadField, match="not supported"):
+            get_field(*args)
+    # GF(2^11), the field of Sz(2048), and GF(5^4) sit at the limits with
+    # 3^11 and 9^4 fold entries, and build every table
+    for p, a in [(2, 11), (5, 4)]:
         F = get_field(p, a)
-        assert F.fold is None and F.spread is None and F.exp is not None
+        assert len(F.exp) == 4 * (F.q - 1) + 1 and len(F.fold) == (2 * p - 1) ** a
+        assert len(F.log) == len(F.neg) == len(F.spread) == F.q
         _check_pairs(F, _sampled_pairs(F, 500, p))
-        for i, _ in _sampled_pairs(F, 50, p + 1):
-            assert F.neg_code(i) == _ref_neg(F, i)
