@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numtheory import Factorization, factorize, lambda_value
@@ -63,8 +64,8 @@ def binary_power(x, e: int, one):
 class SquareMatrix:
     """Immutable d x d matrix over a FieldCtx, entries stored as codes.
 
-    The kernels (products, the vector action, elimination, Frobenius,
-    charpoly) read the context's exp/log, spread/fold and neg tables
+    The kernels (products, elimination, Frobenius, charpoly, the form
+    check) read the context's exp/log, spread/fold and neg tables
     directly; every context has them (see ffield).  Results built here
     skip the row checks of __init__.
     """
@@ -87,10 +88,16 @@ class SquareMatrix:
         return M
 
     @classmethod
-    def from_elements(cls, ctx: FieldCtx, rows: Sequence[Sequence] ) -> "SquareMatrix":
+    def from_elements(cls, ctx: FieldCtx, rows: Sequence[Sequence]) -> "SquareMatrix":
+        """Ints are reduced mod p and anything else goes through ctx.element
+        (which rejects another context's elements), so every code is in
+        range and only the shape needs checking."""
         p = ctx.p
-        return cls(ctx, [[v % p if type(v) is int else ctx.element(v).code for v in row]
-                         for row in rows])
+        rows = tuple(tuple(v % p if type(v) is int else ctx.element(v).code for v in row)
+                     for row in rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        return cls._unchecked(ctx, rows)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, d: int) -> "SquareMatrix":
@@ -124,19 +131,6 @@ class SquareMatrix:
 
     def __pow__(self, e: int) -> "SquareMatrix":
         return binary_power(self, e, SquareMatrix.identity(self.ctx, self.d))
-
-    def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        """Row vector action v -> v*M on code vectors."""
-        ctx = self.ctx
-        exp, log, spread, fold = ctx.exp, ctx.log, ctx.spread, ctx.fold
-        terms = [(log[v], row) for v, row in zip(vec, self.rows) if v]
-        out = []
-        for j in range(self.d):
-            acc = 0
-            for lv, row in terms:
-                acc = fold[spread[acc] + spread[exp[lv + log[row[j]]]]]
-            out.append(acc)
-        return tuple(out)
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix._unchecked(self.ctx, tuple(zip(*self.rows)))
@@ -296,13 +290,50 @@ class FormSpec:
         else:
             raise ValueError(f"unknown form kind {self.kind!r}")
 
+    @cached_property
+    def _gram_terms(self) -> Tuple[Tuple[int, int, int], ...]:
+        """(k, l, log J_kl) for the nonzero Gram entries, row-major."""
+        log = self.gram.ctx.log
+        return tuple((k, l, log[v]) for k, row in enumerate(self.gram.rows)
+                     for l, v in enumerate(row) if v)
+
     def preserves(self, g: SquareMatrix) -> bool:
-        """g J sigma(g)^T == J, sigma the q-power map for hermitian forms."""
+        """g J sigma(g)^T == J, sigma the q-power map for hermitian forms.
+
+        Entry (i, j) is the sum of g_ik J_kl sigma(g)_jl over the nonzero
+        Gram entries (k, l), read off the exp/log and spread/fold tables and
+        compared with J_ij as soon as it is formed.  exp takes a sum of two
+        reduced logs only, so log g_ik + log J_kl is reduced mod q - 1 before
+        log sigma(g)_jl (possibly the zero sentinel) is added; zero g_ik are
+        skipped, since the reduction would lose their sentinel.
+        """
+        J = self.gram
+        ctx = J.ctx
+        if g.ctx is not ctx:
+            raise ValueError("mixed field contexts")
+        if g.d != J.d:
+            raise ValueError(f"a {g.d} x {g.d} matrix cannot preserve a "
+                             f"{J.d}-dimensional form")
+        exp, log, spread, fold = ctx.exp, ctx.log, ctx.spread, ctx.fold
+        m = ctx.q - 1
+        zero = 2 * m  # log's zero sentinel
+        logs = [[log[v] for v in row] for row in g.rows]
         if self.kind == "hermitian":
-            gs = g.conjugate_entries(g.ctx.a // 2)
+            pk = ctx.p ** (ctx.a // 2)
+            slogs = [[lv * pk % m if lv != zero else zero for lv in row] for row in logs]
         else:
-            gs = g
-        return g * self.gram * gs.transpose() == self.gram
+            slogs = logs
+        terms = self._gram_terms
+        for row, lrow in zip(J.rows, logs):
+            # (l, log g_ik J_kl) for this row's nonzero g_ik
+            row_terms = [(l, (lrow[k] + lj) % m) for k, l, lj in terms if lrow[k] != zero]
+            for want, srow in zip(row, slogs):
+                acc = 0
+                for l, lt in row_terms:
+                    acc = fold[spread[acc] + spread[exp[lt + srow[l]]]]
+                if acc != want:
+                    return False
+        return True
 
 
 def antidiagonal_form(ctx: FieldCtx, d: int, kind: str) -> FormSpec:

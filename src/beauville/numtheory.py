@@ -44,12 +44,21 @@ class NotCoprime(ValueError):
 
 
 def _small_primes(bound: int = _TRIAL_BOUND) -> List[int]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return list(itertools.compress(range(bound + 1), sieve))
+    """The primes up to bound, by an odd-only sieve: sieve[i] stands for
+    2i + 1, so the final walk covers half the range."""
+    if bound < 2:
+        return []
+    half = (bound + 1) // 2
+    sieve = bytearray([1]) * half
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+    # sieve[0] stays set, so the walk yields 1 first and 1 becomes the
+    # prime 2 in place: no second list as [2] + primes would build
+    primes = list(itertools.compress(range(1, bound + 1, 2), sieve))
+    primes[0] = 2
+    return primes
 
 
 _PRIMES: Optional[List[int]] = None

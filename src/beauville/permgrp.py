@@ -32,7 +32,6 @@ class rows become Permutations with no copy.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -413,58 +412,65 @@ def mulclose(gens: Iterable, cap: Optional[int] = None):
 # matrix groups as permutation groups
 
 
-def _vector_points(ctx: FieldCtx, d: int) -> List[Tuple[int, ...]]:
-    """All nonzero code vectors in coordinate-lex order (frozen contract)."""
-    pts = [v for v in itertools.product(range(ctx.q), repeat=d) if any(v)]
-    return pts
-
-
-def _projective_points(ctx: FieldCtx, d: int) -> List[Tuple[int, ...]]:
-    """Representatives with first nonzero coordinate 1, coordinate-lex order."""
-    pts = []
-    for lead in range(d):
-        for tail in itertools.product(range(ctx.q), repeat=d - lead - 1):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
-    return pts
-
-
-def _normalize_projective(ctx: FieldCtx, vec: Tuple[int, ...]) -> Tuple[int, ...]:
-    lead = next(c for c in vec if c)
-    if lead == 1:
-        return vec
-    inv = ctx.inv_code(lead)
-    return tuple(ctx.mul_code(inv, c) for c in vec)
-
-
 class PointAction:
-    """A fixed enumeration of vector or projective points for one context."""
+    """A fixed enumeration of vector or projective points for one context.
+
+    Point i is the i-th code vector in coordinate-lex order (a frozen
+    contract): every nonzero vector, or every projective representative
+    whose first nonzero coordinate is 1.  Its key sum_k v_k q^(d-1-k) is
+    therefore increasing in i, and an image's index is a binary search on
+    its key.  permutation() maps all points at once with numpy copies of
+    the context's exp/log and spread/fold tables (see ffield), made once
+    per action.
+    """
 
     def __init__(self, ctx: FieldCtx, d: int, kind: str):
-        count = ctx.q ** d - 1
+        q = ctx.q
+        count = q ** d - 1
         if kind == "projective":
-            count //= ctx.q - 1
+            count //= q - 1
         if count > POINT_CAP:
             raise TooManyPoints(f"{count} points exceeds the cap {POINT_CAP}")
+        if kind == "vectors":
+            keys = np.arange(1, q ** d, dtype=np.int64)
+        elif kind == "projective":
+            # first nonzero coordinate 1 at position d - 1 - e: keys q^e .. 2q^e - 1
+            keys = np.concatenate([np.arange(q ** e, 2 * q ** e, dtype=np.int64)
+                                   for e in range(d)])
+        else:
+            raise ValueError("kind must be 'vectors' or 'projective'")
         self.ctx = ctx
         self.d = d
         self.kind = kind
-        if kind == "vectors":
-            self.points = _vector_points(ctx, d)
-        elif kind == "projective":
-            self.points = _projective_points(ctx, d)
-        else:
-            raise ValueError("kind must be 'vectors' or 'projective'")
-        self.index = {p: i for i, p in enumerate(self.points)}
+        self.keys = keys
+        self._weights = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        self._exp, self._log, self._spread, self._fold = (
+            np.array(t, np.int64) for t in (ctx.exp, ctx.log, ctx.spread, ctx.fold))
+        self._point_logs = self._log[keys[:, None] // self._weights % q]
 
     def permutation(self, M: SquareMatrix) -> Permutation:
-        img = [0] * len(self.points)
-        for i, v in enumerate(self.points):
-            w = M.apply(v)
-            if self.kind == "projective":
-                w = _normalize_projective(self.ctx, w)
-            img[i] = self.index[w]
-        return Permutation(img)
+        if M.ctx is not self.ctx or M.d != self.d:
+            raise ValueError("matrix does not act on these points")
+        exp, log, spread, fold = self._exp, self._log, self._spread, self._fold
+        logs = self._point_logs
+        n = len(self.keys)
+        img = np.zeros((n, self.d), np.int64)
+        for k, row in enumerate(M.rows):
+            for j, b in enumerate(row):
+                if b:
+                    img[:, j] = fold[spread[img[:, j]] + spread[exp[logs[:, k] + log[b]]]]
+        if self.kind == "projective":
+            lead = img[np.arange(n), (img != 0).argmax(axis=1)]
+            if not lead.all():
+                raise ValueError("matrix is singular")
+            # scale each row by its lead's inverse: log lead^-1 = q - 1 - log lead
+            img = exp[log[img] + (self.ctx.q - 1 - log[lead])[:, None]]
+        img_keys = img @ self._weights
+        idx = np.searchsorted(self.keys, img_keys).clip(max=n - 1)
+        if not (self.keys[idx] == img_keys).all():
+            raise ValueError("matrix is singular")
+        # every image is a point, so M is injective on the points
+        return _unchecked(idx.astype(_dtype(n)).tobytes(), n)
 
 
 def matrix_to_perm(gens: Sequence[SquareMatrix],
@@ -475,7 +481,7 @@ def matrix_to_perm(gens: Sequence[SquareMatrix],
     if not gens:
         raise ValueError("need at least one matrix")
     act = PointAction(gens[0].ctx, gens[0].d, action)
-    return [act.permutation(M) for M in gens], len(act.points), act
+    return [act.permutation(M) for M in gens], len(act.keys), act
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from beauville.ffield import get_field, multiplicative_generator
+from beauville.identities import _mismatches
 from beauville.matgrp import (
     BadField,
     FormSpec,
@@ -377,10 +378,6 @@ def test_kernels_match_reference(p, a):
             for k in range(a + 1):
                 assert M.conjugate_entries(k).rows == tuple(
                     tuple(_ref_power(F, v, p ** k) for v in row) for row in A)
-            vecs = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-            vecs += [(0,) * d, tuple(rs.randrange(q) for _ in range(d))]
-            for v in vecs:
-                assert M.apply(v) == _ref_mul(F, (v,) + ((0,) * d,) * (d - 1), A)[0]
 
 
 def _ref_preserves(form, g):
@@ -389,8 +386,18 @@ def _ref_preserves(form, g):
     return _ref_mul(F, _ref_mul(F, g.rows, J), tuple(zip(*gs.rows))) == J
 
 
+def _random_invertible(F, d, rs):
+    while True:
+        P = SquareMatrix(F, [[rs.randrange(F.q) for _ in range(d)] for _ in range(d)])
+        if P.det().code:
+            return P
+
+
 @pytest.mark.parametrize("p, a", KERNEL_FIELDS)
 def test_preserves_matches_reference(p, a):
+    # each antidiagonal J and P J sigma(P)^T for a random invertible P, whose
+    # rows have several nonzero entries; the conjugates P g P^-1 of J's
+    # isometries g preserve the latter
     F = get_field(p, a)
     rs = RandomSource(2000 * p + a)
     for d in range(1, 6):
@@ -405,18 +412,75 @@ def test_preserves_matches_reference(p, a):
                 members += standard_generators(GroupSpec("Sp", 4, F.q))
             if kind == "hermitian" and d in (3, 4) and p ** (a // 2) > 2:
                 members += standard_generators(GroupSpec("SU", d, p ** (a // 2)))
-            for g in members:
-                assert form.preserves(g) and _ref_preserves(form, g)
-            for g in _kernel_pool(F, d, rs):
-                assert form.preserves(g) == _ref_preserves(form, g)
+            P = _random_invertible(F, d, rs)
+            Ps = P.conjugate_entries(a // 2) if kind == "hermitian" else P
+            dense = FormSpec(kind, P * form.gram * Ps.transpose())
+            Pinv = P.inverse()
+            for J, isometries in ((form, members), (dense, [P * g * Pinv for g in members])):
+                for g in isometries:
+                    assert J.preserves(g) and _ref_preserves(J, g)
+                for g in _kernel_pool(F, d, rs):
+                    assert J.preserves(g) == _ref_preserves(J, g)
 
 
-def test_matrices_need_table_fields():
+def test_preserves_refuses_foreign_matrices():
+    F = get_field(5, 2)
+    form = antidiagonal_form(F, 4, "hermitian")
     with pytest.raises(ValueError):
-        SquareMatrix.identity(get_field(2, 12), 2)  # 3^12 fold entries: no tables
+        form.preserves(SquareMatrix.identity(get_field(5), 4))
+    for d in (3, 5):  # a bare zip would check only the top-left block of d = 5
+        with pytest.raises(ValueError):
+            form.preserves(SquareMatrix.identity(F, d))
+
+
+def test_preserves_builds_no_matrices(monkeypatch):
+    cases = []
+    for kind, family in (("hermitian", "SU"), ("symplectic", "Sp")):
+        gens = standard_generators(GroupSpec(family, 4, 3))
+        ctx = gens[0].ctx
+        form = antidiagonal_form(ctx, 4, kind)
+        skew = SquareMatrix(ctx, [[2 if i == j == 0 else int(i == j) for j in range(4)]
+                                  for i in range(4)])
+        cases += [(form, g, True) for g in gens] + [(form, skew, False), (form, gens[0] * skew, False)]
+
+    def refuse(self, other):
+        raise AssertionError("FormSpec.preserves multiplied matrices")
+
+    monkeypatch.setattr(SquareMatrix, "__mul__", refuse)
+    for form, g, member in cases:
+        assert form.preserves(g) is member
+
+
+def test_mismatches_counts_form_failures():
+    # x is no isometry but the printed charpoly is x*y's own, so only the
+    # form check can reject, and it must reject every trial
+    F = get_field(5, 2)
+    form = antidiagonal_form(F, 4, "hermitian")
+    x = SquareMatrix(F, [[2 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)])
+    y = standard_generators(GroupSpec("SU", 4, 5))[0]
+    assert form.preserves(y) and not form.preserves(x)
+    draws = []
+
+    def draw():
+        draws.append(1)
+        return x, y, charpoly(x * y)
+
+    assert _mismatches(7, draw, form) == 7 and len(draws) == 7
+    assert _mismatches(7, draw) == 0 and len(draws) == 14
+
+
+def test_square_matrix_checks_shape_and_codes():
     F = get_field(5)
     with pytest.raises(ValueError):
         SquareMatrix(F, [[0, 5], [1, 0]])
     with pytest.raises(ValueError):
         SquareMatrix(F, [[0, -1], [1, 0]])
+    with pytest.raises(ValueError):
+        SquareMatrix(F, [[0, 1], [1]])
     assert SquareMatrix.from_elements(F, [[7, -1], [0, 1]]).rows == ((2, 4), (0, 1))
+    with pytest.raises(ValueError):
+        SquareMatrix.from_elements(F, [[1, 0], [0]])
+    with pytest.raises(ValueError):
+        SquareMatrix.from_elements(F, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):  # an element of GF(25) in a GF(5) matrix
+        SquareMatrix.from_elements(F, [[get_field(5, 2).from_code(1), 0], [0, 1]])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -6,11 +7,13 @@ import random
 import pytest
 
 import beauville
-from beauville.matgrp import GroupSpec, standard_generators, suzuki_generators
+from beauville.ffield import get_field_of_order
+from beauville.matgrp import GroupSpec, SquareMatrix, standard_generators, suzuki_generators
 from beauville.permgrp import (
     CAP_EXCEEDED,
     BadN,
     Permutation,
+    PointAction,
     ProductReplacer,
     RandomSource,
     alt_triple,
@@ -247,6 +250,48 @@ def test_matrix_to_perm_homomorphism_and_kernel():
     perms_v, npts_v, _ = matrix_to_perm(gens, "vectors")
     assert npts_v == 8
     assert schreier_sims(perms_v).order() == 24  # faithful for SL2(3)
+
+
+def _ref_point_images(M, kind):
+    """Per-point reference: lex-ordered points, v -> v*M by field methods,
+    projective images scaled to lead 1, index by dict."""
+    F, d = M.ctx, M.d
+    pts = [v for v in itertools.product(range(F.q), repeat=d) if any(v)]
+    if kind == "projective":
+        pts = [v for v in pts if next(c for c in v if c) == 1]
+    index = {v: i for i, v in enumerate(pts)}
+    out = []
+    for v in pts:
+        w = [0] * d
+        for vk, row in zip(v, M.rows):
+            w = [F.add_code(wj, F.mul_code(vk, mj)) for wj, mj in zip(w, row)]
+        w = tuple(w)
+        if kind == "projective":
+            inv = F.inv_code(next(c for c in w if c))
+            w = tuple(F.mul_code(inv, c) for c in w)
+        out.append(index[w])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_point_action_matches_per_point_reference(q):
+    rs = RandomSource(q)
+    for d in (1, 2, 3):
+        F = get_field_of_order(q)
+        mats = []
+        while len(mats) < 4:
+            M = SquareMatrix(F, [[rs.randrange(q) for _ in range(d)] for _ in range(d)])
+            if M.det().code:
+                mats.append(M)
+        singular = SquareMatrix(F, [[int(i == j != 0) for j in range(d)] for i in range(d)])
+        for kind in ("vectors", "projective"):
+            act = PointAction(F, d, kind)
+            for M in mats:
+                assert act.permutation(M).images == _ref_point_images(M, kind)
+            with pytest.raises(ValueError):
+                act.permutation(singular)
+            with pytest.raises(ValueError):
+                act.permutation(SquareMatrix.identity(F, d + 1))
 
 
 def test_sl2_projective_images():
