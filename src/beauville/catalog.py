@@ -41,7 +41,7 @@ from .matgrp import (
     u3_triple,
     u41_triple,
 )
-from .ffield import get_field
+from .ffield import get_field, parse_element
 from .numtheory import factorize
 from .permgrp import Permutation, TooManyPoints, alt_bsgs, parse_perm_file
 from .structures import (
@@ -364,8 +364,7 @@ def parse_matrix_file(text: str) -> List[SquareMatrix]:
             tokens = lines[pos].split()
             if len(tokens) != d:
                 raise ValueError(f"line {pos + 1}: expected {d} entries")
-            rows.append([ctx.element([int(c) for c in tok.split(",")]).code
-                         for tok in tokens])
+            rows.append([parse_element(ctx, tok).code for tok in tokens])
             pos += 1
         gens.append(SquareMatrix(ctx, rows))
     return gens

@@ -2,7 +2,9 @@
 identities behind the four explicit small-rank constructions.
 
 Each suite draws random admissible parameters, builds the matrices, and
-compares charpoly(x*y) against the printed coefficient formula.  The draw
+compares charpoly(x*y) against the printed coefficient formula.  Parameters
+are drawn as element codes, and the matrix builders and printed polynomials
+of matgrp work on codes, so no FieldElement is made per draw.  The draw
 streams are seeded, so runs are reproducible.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from .ffield import FieldCtx, get_field, get_field_of_order
+from .ffield import get_field, get_field_of_order
 from .matgrp import (
     antidiagonal_form,
     charpoly,
@@ -41,10 +43,6 @@ def _fields_for(lemma: str, qmax: int) -> List[int]:
     raise ValueError(f"unknown lemma {lemma!r}")
 
 
-def _rand_element(ctx: FieldCtx, rs: RandomSource):
-    return ctx.from_code(rs.randrange(ctx.q))
-
-
 def _pick(pool: Sequence, rs: RandomSource):
     return pool[rs.randrange(len(pool))]
 
@@ -68,10 +66,10 @@ def lineardim3_suite(q: int, trials: int, seed: int) -> int:
     rs = RandomSource(seed)
 
     def draw():
-        a = _rand_element(ctx, rs)
-        b = _rand_element(ctx, rs)
-        x, y = lineardim3_matrices(q, a, b)
-        return x, y, lineardim3_charpoly(a, b)
+        a = rs.randrange(ctx.q)
+        b = rs.randrange(ctx.q)
+        x, y = lineardim3_matrices(ctx, a, b)
+        return x, y, lineardim3_charpoly(ctx, a, b)
 
     return _mismatches(trials, draw)
 
@@ -79,16 +77,16 @@ def lineardim3_suite(q: int, trials: int, seed: int) -> int:
 def u41_suite(q: int, trials: int, seed: int) -> int:
     p, h = factorize(q).factors[0]
     ctx = get_field(p, 2 * h)
-    trace_zero = ctx.trace_zero()
+    trace_zero = [e.code for e in ctx.trace_zero()]
     nonzero_trace_zero = trace_zero[1:]
     rs = RandomSource(seed)
 
     def draw():
         e = _pick(nonzero_trace_zero, rs)
-        b = _rand_element(ctx, rs)
+        b = rs.randrange(ctx.q)
         c = _pick(trace_zero, rs)
-        x, y = u41_matrices(e, b, c)
-        return x, y, u41_charpoly(e, b, c)
+        x, y = u41_matrices(ctx, e, b, c)
+        return x, y, u41_charpoly(ctx, e, b, c)
 
     return _mismatches(trials, draw, antidiagonal_form(ctx, 4, "hermitian"))
 
@@ -98,21 +96,24 @@ def u3_suite(q: int, trials: int, seed: int) -> int:
     ctx = get_field(p, 2 * h)
     rs = RandomSource(seed)
     # admissible (a, b): b + b^q + a a^q = 0; sample a and then b from the
-    # matching trace fiber, whose zero fiber is the trace-zero set
-    trace_zero = ctx.trace_zero()
-    fibers: Dict[int, Sequence] = {0: trace_zero}
+    # trace fiber over -a a^q, whose zero fiber is the trace-zero set
+    trace_zero = [e.code for e in ctx.trace_zero()]
+    fibers: Dict[int, List[int]] = {0: trace_zero}
+    # draws pick from a fiber by index: list codes in elements() order, as
+    # trace_zero() does
     for el in ctx.elements():
-        t = (el + el ** q).code
+        t = ctx.add_code(el.code, ctx.pow_code(el.code, q))
         if t:
-            fibers.setdefault(t, []).append(el)
+            fibers.setdefault(t, []).append(el.code)
+    neg_norm = [ctx.neg[ctx.mul_code(a, ctx.pow_code(a, q))] for a in range(ctx.q)]
     nonzero_trace_zero = trace_zero[1:]
 
     def draw():
         e = _pick(nonzero_trace_zero, rs)
-        a = _rand_element(ctx, rs)
-        b = _pick(fibers[(-(a * a ** q)).code], rs)
-        x, y = u3_matrices(e, a, b)
-        return x, y, u3_charpoly(e, a, b)
+        a = rs.randrange(ctx.q)
+        b = _pick(fibers[neg_norm[a]], rs)
+        x, y = u3_matrices(ctx, e, a, b)
+        return x, y, u3_charpoly(ctx, e, a, b)
 
     return _mismatches(trials, draw, antidiagonal_form(ctx, 3, "hermitian"))
 
@@ -121,21 +122,21 @@ def sp42_suite(q: int, trials: int, seed: int) -> int:
     ctx = get_field_of_order(q)
     rs = RandomSource(seed)
     if ctx.p == 2:
-        squares = {(beta * beta + beta).code for beta in ctx.elements()}
-        lams = [el for el in ctx.elements() if el.code not in squares]
+        squares = {ctx.add_code(ctx.mul_code(beta, beta), beta) for beta in range(ctx.q)}
+        lams = [el.code for el in ctx.elements() if el.code not in squares]
 
         def draw():
-            a = _rand_element(ctx, rs)
-            b = _rand_element(ctx, rs)
+            a = rs.randrange(ctx.q)
+            b = rs.randrange(ctx.q)
             lam = _pick(lams, rs)
-            x, y = sp42_matrices_even(a, b, lam)
-            return x, y, sp42_charpoly_even(a, b, lam)
+            x, y = sp42_matrices_even(ctx, a, b, lam)
+            return x, y, sp42_charpoly_even(ctx, a, b, lam)
     else:
         def draw():
-            a = _rand_element(ctx, rs)
-            b = _rand_element(ctx, rs)
-            x, y = sp42_matrices_odd(a, b)
-            return x, y, sp42_charpoly_odd(a, b)
+            a = rs.randrange(ctx.q)
+            b = rs.randrange(ctx.q)
+            x, y = sp42_matrices_odd(ctx, a, b)
+            return x, y, sp42_charpoly_odd(ctx, a, b)
 
     return _mismatches(trials, draw, antidiagonal_form(ctx, 4, "symplectic"))
 

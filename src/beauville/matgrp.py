@@ -679,31 +679,32 @@ def standard_generators(spec: GroupSpec) -> Tuple[SquareMatrix, ...]:
 #
 # Each construction returns matrices built exactly from the printed entries,
 # solves the free parameters against a target characteristic polynomial and
-# asserts the coefficient identity plus form membership.  The *_charpoly
-# helpers give the printed quartic/cubic normalized to det(wI - M).
+# asserts the coefficient identity plus form membership.  The matrix builders
+# and the *_charpoly helpers take a context and element codes (in
+# range(ctx.q)) and work on codes throughout: entries and coefficients come
+# from the context's tables, and the matrices skip the row checks.  The
+# *_charpoly helpers give the printed quartic/cubic normalized to det(wI - M).
 
 
-def _poly_neg_normalize(ctx: FieldCtx, coeffs: Sequence[FieldElement]) -> Tuple[int, ...]:
-    """Normalize printed coefficients (low first, possibly -monic) to monic."""
-    codes = [c.code for c in coeffs]
+def _monic(ctx: FieldCtx, codes: Sequence[int]) -> Tuple[int, ...]:
+    """Printed coefficient codes (low first, monic or -monic) made monic."""
     if codes[-1] != 1:
-        codes = [ctx.neg_code(c) for c in codes]
+        codes = [ctx.neg[c] for c in codes]
     assert codes[-1] == 1
     return tuple(codes)
 
 
-def lineardim3_matrices(q: int, a: FieldElement, b: FieldElement) -> Tuple[SquareMatrix, SquareMatrix]:
-    ctx = a.ctx
-    x = SquareMatrix.from_elements(ctx, [[1, 0, 0], [a, 1, 0], [b, 1, 1]])
-    y = SquareMatrix.from_elements(ctx, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+def lineardim3_matrices(ctx: FieldCtx, a: int, b: int) -> Tuple[SquareMatrix, SquareMatrix]:
+    x = SquareMatrix._unchecked(ctx, ((1, 0, 0), (a, 1, 0), (b, 1, 1)))
+    y = SquareMatrix._unchecked(ctx, ((1, 0, 1), (0, 1, 0), (0, 0, 1)))
     return x, y
 
 
-def lineardim3_charpoly(a: FieldElement, b: FieldElement) -> Tuple[int, ...]:
+def lineardim3_charpoly(ctx: FieldCtx, a: int, b: int) -> Tuple[int, ...]:
     """1 - (b+3-a)w + (3+b)w^2 - w^3, normalized monic."""
-    ctx = a.ctx
-    three = ctx.element(3)
-    return _poly_neg_normalize(ctx, [ctx.one, -(b + three - a), three + b, -ctx.one])
+    add, neg = ctx.add_code, ctx.neg
+    b3 = add(b, 3 % ctx.p)
+    return _monic(ctx, [1, neg[add(b3, neg[a])], b3, neg[1]])
 
 
 def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -746,52 +747,53 @@ def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]
         ])
         if order_of_matrix(z, exponent) != wanted:
             continue
-        x, y = lineardim3_matrices(q, a, b)
+        x, y = lineardim3_matrices(ctx, a.code, b.code)
         xy = x * y
-        assert charpoly(xy) == lineardim3_charpoly(a, b) == charpoly(z)
+        assert charpoly(xy) == lineardim3_charpoly(ctx, a.code, b.code) == charpoly(z)
         assert x.det().code == 1 and y.det().code == 1
         assert order_of_matrix(xy, exponent) == wanted
         return x, y, xy
     raise BadField(f"no admissible multiplier over GF({q})")
 
 
-def u41_matrices(e: FieldElement, b: FieldElement, c: FieldElement) -> Tuple[SquareMatrix, SquareMatrix]:
+def u41_matrices(ctx: FieldCtx, e: int, b: int, c: int) -> Tuple[SquareMatrix, SquareMatrix]:
     # y is the unitary transvection fixed by e; the four-row unipotent shape
     # displayed for it in the source is a misprint (it fails g J conj(g)^T = J
     # for every odd q) and only the transvection reproduces the quartic below.
-    ctx = e.ctx
+    add, neg = ctx.add_code, ctx.neg
     qpow = ctx.p ** (ctx.a // 2)
-    bq = b ** qpow
-    cq = c ** qpow
-    y = SquareMatrix.from_elements(ctx, [
-        [1, 0, 0, e],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ])
-    x = SquareMatrix.from_elements(ctx, [
-        [1, 0, 0, 0],
-        [1, 1, 0, 0],
-        [b + c, cq, 1, 0],
-        [-bq - c + cq, -bq - cq + c, -1, 1],
-    ])
+    nbq = neg[ctx.pow_code(b, qpow)]
+    cq = ctx.pow_code(c, qpow)
+    y = SquareMatrix._unchecked(ctx, (
+        (1, 0, 0, e),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+    ))
+    x = SquareMatrix._unchecked(ctx, (
+        (1, 0, 0, 0),
+        (1, 1, 0, 0),
+        (add(b, c), cq, 1, 0),
+        (add(add(nbq, neg[c]), cq), add(add(nbq, neg[cq]), c), neg[1], 1),
+    ))
     return x, y
 
 
-def u41_charpoly(e: FieldElement, b: FieldElement, c: FieldElement) -> Tuple[int, ...]:
+def u41_charpoly(ctx: FieldCtx, e: int, b: int, c: int) -> Tuple[int, ...]:
     """w^4 + (2ce+eb^q-4)w^3 + (eb-eb^q+6-5ce)w^2 + (2ce-eb-4)w + 1."""
-    ctx = e.ctx
-    qpow = ctx.p ** (ctx.a // 2)
-    bq = b ** qpow
-    n = ctx.element
+    add, mul, neg, p = ctx.add_code, ctx.mul_code, ctx.neg, ctx.p
+    ce = mul(c, e)
+    eb = mul(e, b)
+    ebq = mul(e, ctx.pow_code(b, p ** (ctx.a // 2)))
+    ce2 = mul(2 % p, ce)
     coeffs = [
-        ctx.one,
-        n(2) * c * e - e * b - n(4),
-        e * b - e * bq + n(6) - n(5) * c * e,
-        n(2) * c * e + e * bq - n(4),
-        ctx.one,
+        1,
+        add(add(ce2, neg[eb]), neg[4 % p]),
+        add(add(add(eb, neg[ebq]), 6 % p), neg[mul(5 % p, ce)]),
+        add(add(ce2, ebq), neg[4 % p]),
+        1,
     ]
-    return _poly_neg_normalize(ctx, coeffs)
+    return _monic(ctx, coeffs)
 
 
 def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -823,7 +825,7 @@ def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
             # solved from the quartic coefficients; the printed solution for
             # b carries sign misprints, the correct one is all-plus
             b = -(n(3) * tq + n(2) * t + n(2) * f + n(8)) / e
-            x, y = u41_matrices(e, b, c)
+            x, y = u41_matrices(ctx, e.code, b.code, c.code)
             if not (form.preserves(x) and form.preserves(y)):
                 continue
             xy = x * y
@@ -833,32 +835,25 @@ def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
                 continue
             if target_order > 1 and (xy ** (target_order // zeta)).is_identity():
                 continue
-            assert charpoly(xy) == u41_charpoly(e, b, c)
+            assert charpoly(xy) == u41_charpoly(ctx, e.code, b.code, c.code)
             assert (e ** q + e).code == 0 and (c ** q + c).code == 0
             return x, y, xy
     raise BadField(f"no admissible (t, f) found for SU_4({q})")
 
 
-def u3_matrices(e: FieldElement, a: FieldElement, b: FieldElement) -> Tuple[SquareMatrix, SquareMatrix]:
-    ctx = e.ctx
-    qpow = ctx.p ** (ctx.a // 2)
-    y = SquareMatrix.from_elements(ctx, [[1, 0, e], [0, 1, 0], [0, 0, 1]])
-    x = SquareMatrix.from_elements(ctx, [[1, 0, 0], [a, 1, 0], [b, -(a ** qpow), 1]])
+def u3_matrices(ctx: FieldCtx, e: int, a: int, b: int) -> Tuple[SquareMatrix, SquareMatrix]:
+    aq = ctx.pow_code(a, ctx.p ** (ctx.a // 2))
+    y = SquareMatrix._unchecked(ctx, ((1, 0, e), (0, 1, 0), (0, 0, 1)))
+    x = SquareMatrix._unchecked(ctx, ((1, 0, 0), (a, 1, 0), (b, ctx.neg[aq], 1)))
     return x, y
 
 
-def u3_charpoly(e: FieldElement, a: FieldElement, b: FieldElement) -> Tuple[int, ...]:
+def u3_charpoly(ctx: FieldCtx, e: int, a: int, b: int) -> Tuple[int, ...]:
     """-w^3 + (be+3)w^2 - (3 + aa^q e + be)w + 1, normalized monic."""
-    ctx = e.ctx
-    qpow = ctx.p ** (ctx.a // 2)
-    n = ctx.element
-    coeffs = [
-        ctx.one,
-        -(n(3) + a * (a ** qpow) * e + b * e),
-        b * e + n(3),
-        -ctx.one,
-    ]
-    return _poly_neg_normalize(ctx, coeffs)
+    add, mul, neg = ctx.add_code, ctx.mul_code, ctx.neg
+    be3 = add(mul(b, e), 3 % ctx.p)
+    aaqe = mul(mul(a, ctx.pow_code(a, ctx.p ** (ctx.a // 2))), e)
+    return _monic(ctx, [1, neg[add(be3, aaqe)], be3, neg[1]])
 
 
 def u3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -879,58 +874,55 @@ def u3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     a = solve_norm(ctx, -s)
     assert a.code != 0
     assert (b + bq + a * a ** q).code == 0
-    x, y = u3_matrices(e, a, b)
+    x, y = u3_matrices(ctx, e.code, a.code, b.code)
     assert form.preserves(x) and form.preserves(y)
     xy = x * y
     z = SquareMatrix.from_elements(ctx, [
         [lam, 0, 0], [0, lam ** (q - 1), 0], [0, 0, lam ** (-q)]])
-    assert charpoly(xy) == u3_charpoly(e, a, b) == charpoly(z)
+    assert charpoly(xy) == u3_charpoly(ctx, e.code, a.code, b.code) == charpoly(z)
     assert order_of_matrix(xy, factorize(q * q - 1)) == q * q - 1
     return x, y, xy
 
 
-def sp42_matrices_odd(a: FieldElement, b: FieldElement) -> Tuple[SquareMatrix, SquareMatrix]:
+def sp42_matrices_odd(ctx: FieldCtx, a: int, b: int) -> Tuple[SquareMatrix, SquareMatrix]:
     # Two corrections against the displayed matrix: the (4,3) entry must be
     # -1 for x to be symplectic, and the printed quartic below holds with a
     # at position (4,1) and b in the middle column (the display swaps them).
-    ctx = a.ctx
-    x = SquareMatrix.from_elements(ctx, [
-        [1, 0, 0, 0],
-        [1, 1, 0, 0],
-        [0, b, 1, 0],
-        [a, -b, -ctx.one, 1],
-    ])
-    y = SquareMatrix.from_elements(ctx, [
-        [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    neg = ctx.neg
+    x = SquareMatrix._unchecked(ctx, (
+        (1, 0, 0, 0),
+        (1, 1, 0, 0),
+        (0, b, 1, 0),
+        (a, neg[b], neg[1], 1),
+    ))
+    y = SquareMatrix._unchecked(ctx, (
+        (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     return x, y
 
 
-def sp42_charpoly_odd(a: FieldElement, b: FieldElement) -> Tuple[int, ...]:
+def sp42_charpoly_odd(ctx: FieldCtx, a: int, b: int) -> Tuple[int, ...]:
     """w^4 - (4+a)w^3 + (6+b+2a)w^2 + (-4-a)w + 1."""
-    ctx = a.ctx
-    n = ctx.element
-    coeffs = [ctx.one, -(n(4) + a), n(6) + b + n(2) * a, -(n(4) + a), ctx.one]
-    return _poly_neg_normalize(ctx, coeffs)
+    add, mul, p = ctx.add_code, ctx.mul_code, ctx.p
+    t = ctx.neg[add(4 % p, a)]
+    return _monic(ctx, [1, t, add(add(6 % p, b), mul(2 % p, a)), t, 1])
 
 
-def sp42_matrices_even(a: FieldElement, b: FieldElement, lam: FieldElement) -> Tuple[SquareMatrix, SquareMatrix]:
-    ctx = a.ctx
-    x = SquareMatrix.from_elements(ctx, [
-        [1, 0, 0, 0],
-        [a, 1, 0, 0],
-        [0, b, 1, 0],
-        [0, a * b, a, 1],
-    ])
-    y = SquareMatrix.from_elements(ctx, [
-        [1, 1, 1, lam], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+def sp42_matrices_even(ctx: FieldCtx, a: int, b: int, lam: int) -> Tuple[SquareMatrix, SquareMatrix]:
+    x = SquareMatrix._unchecked(ctx, (
+        (1, 0, 0, 0),
+        (a, 1, 0, 0),
+        (0, b, 1, 0),
+        (0, ctx.mul_code(a, b), a, 1),
+    ))
+    y = SquareMatrix._unchecked(ctx, (
+        (1, 1, 1, lam), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
     return x, y
 
 
-def sp42_charpoly_even(a: FieldElement, b: FieldElement, lam: FieldElement) -> Tuple[int, ...]:
+def sp42_charpoly_even(ctx: FieldCtx, a: int, b: int, lam: int) -> Tuple[int, ...]:
     """w^4 + bw^3 + a^2(b lam + 1)w^2 + bw + 1."""
-    ctx = a.ctx
-    coeffs = [ctx.one, b, a * a * (b * lam + ctx.one), b, ctx.one]
-    return _poly_neg_normalize(ctx, coeffs)
+    mul = ctx.mul_code
+    return _monic(ctx, [1, b, mul(mul(a, a), ctx.add_code(mul(b, lam), 1)), b, 1])
 
 
 def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
@@ -956,7 +948,7 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
                 b = t
                 lam = lams[0] if (b * lams[0]).code != 1 else lams[1]
                 a = sqrt_element(f / (b * lam + ctx.one))
-                x, y = sp42_matrices_even(a, b, lam)
+                x, y = sp42_matrices_even(ctx, a.code, b.code, lam.code)
                 xy = x * y
                 if charpoly(xy) != (1, t.code, f.code, t.code, 1):
                     continue
@@ -965,7 +957,7 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
                 if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
                     continue
                 assert form.preserves(x) and form.preserves(y)
-                assert charpoly(xy) == sp42_charpoly_even(a, b, lam)
+                assert charpoly(xy) == sp42_charpoly_even(ctx, a.code, b.code, lam.code)
                 assert order_of_matrix(x, factorize(8)) == 4
                 assert order_of_matrix(y, factorize(8)) == 4
                 return x, y, xy
@@ -983,7 +975,7 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
             b = f - n(6) - n(2) * a
             if not b.code and p == 3:
                 continue  # keep o(x) = 9 at p = 3
-            x, y = sp42_matrices_odd(a, b)
+            x, y = sp42_matrices_odd(ctx, a.code, b.code)
             xy = x * y
             if charpoly(xy) != (1, t.code, f.code, t.code, 1):
                 continue
@@ -992,6 +984,6 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
             if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
                 continue
             assert form.preserves(x) and form.preserves(y)
-            assert charpoly(xy) == sp42_charpoly_odd(a, b)
+            assert charpoly(xy) == sp42_charpoly_odd(ctx, a.code, b.code)
             return x, y, xy
     raise BadField(f"no admissible (t, f) found for Sp_4({q})")

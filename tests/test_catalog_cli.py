@@ -120,6 +120,17 @@ def test_matrix_file_keeps_its_scalars(tmp_path):
     assert G.perm_gens[0].degree == 63
 
 
+@pytest.mark.parametrize("token", ["1,x", "1,0,1", ""])
+def test_bad_matrix_entry_is_a_data_error(tmp_path, token):
+    # an entry that is not a number, or has more coefficients than GF(4)
+    text = _matrix_file(standard_generators(GroupSpec("SL", 2, 4)), 2, 2)
+    lines = text.splitlines()
+    lines[1] = " ".join([token or ",", lines[1].split()[1]])
+    (tmp_path / "bad.mat").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CatalogDataError, match=re.escape("bad.mat")):
+        realize_source("file:bad.mat", str(tmp_path), declared_order=60)
+
+
 def test_report_determinism_same_seed():
     entries, base = load_catalog_file(shipped_catalog_path())
     opts1 = CatalogOptions(master_seed=5, only="SL_3_2", base_dir=base)
