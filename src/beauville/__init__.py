@@ -21,11 +21,8 @@ from .numtheory import (
 )
 from .ffield import (
     FieldCtx,
-    FieldElement,
-    frobenius,
     get_field,
     get_field_of_order,
-    multiplicative_generator,
     solve_norm,
     trace_zero_sample,
 )

@@ -364,7 +364,7 @@ def parse_matrix_file(text: str) -> List[SquareMatrix]:
             tokens = lines[pos].split()
             if len(tokens) != d:
                 raise ValueError(f"line {pos + 1}: expected {d} entries")
-            rows.append([parse_element(ctx, tok).code for tok in tokens])
+            rows.append([parse_element(ctx, tok) for tok in tokens])
             pos += 1
         gens.append(SquareMatrix(ctx, rows))
     return gens

@@ -1,11 +1,12 @@
 """Arithmetic in GF(p^a) on a polynomial basis.
 
 A context fixes the modulus (the lexicographically least monic irreducible
-of degree a, coefficients low-degree-first).  Elements are immutable
-wrappers around an integer code sum(c_i * p^i); the coefficient vector is
+of degree a, coefficients low-degree-first).  An element is its integer
+code sum(c_i * p^i), a plain int in range(q); the coefficient vector is
 recovered by base-p digits.  "Least" always means lexicographic on the
-coefficient vector (c_0, c_1, ...), which keeps every choice made here
-reproducible.
+coefficient vector (c_0, c_1, ...), the order of FieldCtx.elements(), which
+keeps every choice made here reproducible.  The multiplicative generator
+is exp[1], and x^(p^k) is pow_code(x, p^k).
 
 Arithmetic on codes is table lookups, built once per context:
 
@@ -30,8 +31,7 @@ is supported; GF(2^12) is the least refused field.
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numtheory import factorize, is_prime
 
@@ -45,10 +45,6 @@ class BadField(ValueError):
 
 class NotInSubfield(ValueError):
     """The given element does not lie in the expected subfield."""
-
-
-class NoSquareRoot(ValueError):
-    """The element has no square root in this field."""
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +194,8 @@ class FieldCtx:
         self.q = q
         self.modulus = _least_irreducible(p, a)
         self._weights = weights = tuple(p ** i for i in range(a))
-        self._trace_zero: Optional[Tuple["FieldElement", ...]] = None
+        self._trace_zero: Optional[Tuple[int, ...]] = None
+        self._embed_cache: Dict[int, Dict[int, int]] = {}
         gen = self._find_generator()
         # exp is cyclic on [0, 2(q - 1)) and zero on [2(q - 1), 4(q - 1)],
         # the range of log[i] + log[j] once either log is the sentinel
@@ -240,11 +237,8 @@ class FieldCtx:
             return 1
         target = self.q - 1
         primes = factorize(target).primes
-        for coeffs in itertools.product(range(self.p), repeat=self.a):
-            code = self._encode(coeffs)
-            if code == 0:
-                continue
-            if all(self._slow_pow(code, target // r) != 1 for r in primes):
+        for code in self.elements():
+            if code and all(self._slow_pow(code, target // r) != 1 for r in primes):
                 return code
         raise AssertionError("no generator found")  # unreachable
 
@@ -258,41 +252,14 @@ class FieldCtx:
             e >>= 1
         return result
 
-    # -- public element api
+    # -- public code api
 
-    def element(self, value: Union[int, Sequence[int], "FieldElement"]) -> "FieldElement":
-        """Coerce an integer (reduced mod p into the prime field), coefficient
-        sequence, or element of this context."""
-        if isinstance(value, FieldElement):
-            if value.ctx is not self:
-                raise ValueError("element belongs to a different context")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.p)
-        coeffs = list(value)
-        if len(coeffs) > self.a:
-            raise ValueError("too many coefficients")
-        return FieldElement(self, self._encode(coeffs + [0] * (self.a - len(coeffs))))
+    def elements(self) -> List[int]:
+        """All element codes in lexicographic coefficient order: c_0 varies
+        slowest, so zero comes first and the codes are not ascending."""
+        return _digit_map(range(self.p), self._weights[::-1])
 
-    def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError("code out of range")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        """All field elements in lexicographic coefficient order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.a):
-            yield FieldElement(self, self._encode(coeffs))
-
-    def trace_zero(self) -> Tuple["FieldElement", ...]:
+    def trace_zero(self) -> Tuple[int, ...]:
         """{e : e^q + e = 0} in GF(q^2), in elements() order (so zero comes
         first); built on first use."""
         if self._trace_zero is None:
@@ -300,7 +267,7 @@ class FieldCtx:
                 raise ValueError("context is not a quadratic extension")
             q = self.p ** (self.a // 2)
             self._trace_zero = tuple(e for e in self.elements()
-                                     if (e ** q + e).code == 0)
+                                     if self.add_code(self.pow_code(e, q), e) == 0)
         return self._trace_zero
 
     def mul_code(self, i: int, j: int) -> int:
@@ -331,114 +298,23 @@ class FieldCtx:
         return (get_field, (self.p, self.a))
 
 
-class FieldElement:
-    """Immutable element of a FieldCtx, stored as an integer code."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx: FieldCtx, code: int):
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return self.ctx._decode(self.code)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.ctx is other.ctx and self.code == other.code
-        if isinstance(other, int):
-            return self == self.ctx.element(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise ValueError("mixed field contexts")
-            return other
-        return self.ctx.element(other)
-
-    def __add__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.add_code(self.code, other.code))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.neg_code(self.code))
-
-    def __sub__(self, other) -> "FieldElement":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "FieldElement":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.mul_code(self.code, other.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return self * FieldElement(self.ctx, self.ctx.inv_code(other.code))
-
-    def __rtruediv__(self, other) -> "FieldElement":
-        return self._coerce(other) / self
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.pow_code(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv_code(self.code))
-
-    def multiplicative_order(self) -> int:
-        if self.code == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        m = self.ctx.q - 1
-        return m // math.gcd(self.ctx.log[self.code], m)
-
-    def serialize(self) -> str:
-        """Comma-separated coefficient list, low degree first."""
-        return ",".join(str(c) for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"{self.ctx!r}[{self.serialize()}]"
+def parse_element(ctx: FieldCtx, text: str) -> int:
+    """The code of a comma-separated coefficient list, low degree first;
+    coefficients are reduced mod p.  A token that is not an integer, or
+    more than a coefficients, raises ValueError."""
+    coeffs = [int(part) for part in text.strip().split(",")]
+    if len(coeffs) > ctx.a:
+        raise ValueError("too many coefficients")
+    return ctx._encode(coeffs)
 
 
-def parse_element(ctx: FieldCtx, text: str) -> FieldElement:
-    return ctx.element([int(part) for part in text.strip().split(",")])
+def format_element(ctx: FieldCtx, code: int) -> str:
+    """The comma-separated coefficient list of a code, low degree first."""
+    return ",".join(map(str, ctx._decode(code)))
 
 
 # ---------------------------------------------------------------------------
 # structure maps
-
-
-def frobenius(x: FieldElement, k: int = 1) -> FieldElement:
-    """x^(p^k)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return x ** (x.ctx.p ** (k % x.ctx.a))
-
-
-def multiplicative_generator(ctx: FieldCtx) -> FieldElement:
-    """Least generator of the multiplicative group (order certified when
-    the context was built): exp[1], the base of the exp/log tables."""
-    return FieldElement(ctx, ctx.exp[1])
-
-
-def subfield_conjugate(x: FieldElement) -> FieldElement:
-    """x^q for x in GF(q^2), the involutory automorphism over GF(q)."""
-    ctx = x.ctx
-    if ctx.a % 2 != 0:
-        raise ValueError("context is not a quadratic extension")
-    return frobenius(x, ctx.a // 2)
 
 
 def embed_subfield(sub: FieldCtx, sup: FieldCtx) -> Dict[int, int]:
@@ -446,70 +322,36 @@ def embed_subfield(sub: FieldCtx, sup: FieldCtx) -> Dict[int, int]:
     subfield modulus.  Cached on the super context."""
     if sub.p != sup.p or sup.a % sub.a != 0:
         raise ValueError("no embedding between these contexts")
-    cache = getattr(sup, "_embed_cache", None)
-    if cache is None:
-        cache = {}
-        sup._embed_cache = cache  # type: ignore[attr-defined]
-    if sub.a in cache:
-        return cache[sub.a]
-    if sub.a == 1:
-        mapping = {c: c for c in range(sub.p)}
-        cache[sub.a] = mapping
-        return mapping
-    root = None
-    modulus = [sup.element(c) for c in sub.modulus]
-    for cand in sup.elements():
-        acc = sup.zero
-        for coef in reversed(modulus):
-            acc = acc * cand + coef
-        if acc.code == 0:
-            root = cand
-            break
-    assert root is not None, "subfield modulus must split in the extension"
-    mapping = {}
-    for coeffs in itertools.product(range(sub.p), repeat=sub.a):
-        code = sub._encode(coeffs)
-        acc = sup.zero
-        for coef in reversed(coeffs):
-            acc = acc * root + sup.element(coef)
-        mapping[code] = acc.code
-    cache[sub.a] = mapping
-    return mapping
+    cache = sup._embed_cache
+    if sub.a not in cache:
+        mul, add = sup.mul_code, sup.add_code
+
+        def horner(coeffs: Sequence[int], x: int) -> int:
+            acc = 0
+            for coef in reversed(coeffs):
+                acc = add(mul(acc, x), coef)
+            return acc
+
+        # prime-field coefficients are their own codes in either context
+        root = next(x for x in sup.elements() if horner(sub.modulus, x) == 0)
+        cache[sub.a] = {code: horner(sub._decode(code), root) for code in sub.elements()}
+    return cache[sub.a]
 
 
-def solve_norm(ctx: FieldCtx, c: FieldElement) -> FieldElement:
-    """Least x in GF(q^2) with x * x^q = c, for c in the subfield GF(q).
-
-    c may be given in the subfield context or as a conjugation-fixed element
-    of ctx itself; the norm map is onto, so a solution always exists.
-    """
+def solve_norm(ctx: FieldCtx, c: int) -> int:
+    """Least x in GF(q^2) (in elements() order) with x * x^q = c, for a code
+    c of ctx fixed by the q-power map; the norm map is onto that subfield,
+    so a solution always exists."""
     if ctx.a % 2 != 0:
         raise ValueError("context is not a quadratic extension")
     q = ctx.p ** (ctx.a // 2)
-    if c.ctx is ctx:
-        if subfield_conjugate(c) != c:
-            raise NotInSubfield(f"{c!r} is not fixed by the q-power map")
-        target = c
-    else:
-        if c.ctx.p != ctx.p or c.ctx.a * 2 != ctx.a:
-            raise NotInSubfield("c must come from the index-2 subfield")
-        target = ctx.from_code(embed_subfield(c.ctx, ctx)[c.code])
-    if target.code == 0:
-        return ctx.zero
-    for x in ctx.elements():
-        if x.code and x * (x ** q) == target:
-            return x
-    raise AssertionError("norm map must be onto")  # unreachable
+    if ctx.pow_code(c, q) != c:
+        raise NotInSubfield(f"{format_element(ctx, c)} is not fixed by the q-power map")
+    if c == 0:
+        return 0
+    return next(x for x in ctx.elements() if x and ctx.mul_code(x, ctx.pow_code(x, q)) == c)
 
 
-def trace_zero_sample(ctx: FieldCtx) -> FieldElement:
+def trace_zero_sample(ctx: FieldCtx) -> int:
     """Least nonzero e in GF(q^2) with e^q + e = 0."""
     return ctx.trace_zero()[1]
-
-
-def sqrt_element(x: FieldElement) -> FieldElement:
-    """Least square root of x, or NoSquareRoot (exhaustive search)."""
-    for y in x.ctx.elements():
-        if y * y == x:
-            return y
-    raise NoSquareRoot(f"{x!r} is not a square")

@@ -3,9 +3,9 @@ identities behind the four explicit small-rank constructions.
 
 Each suite draws random admissible parameters, builds the matrices, and
 compares charpoly(x*y) against the printed coefficient formula.  Parameters
-are drawn as element codes, and the matrix builders and printed polynomials
-of matgrp work on codes, so no FieldElement is made per draw.  The draw
-streams are seeded, so runs are reproducible.
+are element codes (see ffield), drawn directly or picked from code pools in
+elements() order, and the matrix builders and printed polynomials of matgrp
+take codes.  The draw streams are seeded, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def lineardim3_suite(q: int, trials: int, seed: int) -> int:
 def u41_suite(q: int, trials: int, seed: int) -> int:
     p, h = factorize(q).factors[0]
     ctx = get_field(p, 2 * h)
-    trace_zero = [e.code for e in ctx.trace_zero()]
+    trace_zero = ctx.trace_zero()
     nonzero_trace_zero = trace_zero[1:]
     rs = RandomSource(seed)
 
@@ -97,14 +97,14 @@ def u3_suite(q: int, trials: int, seed: int) -> int:
     rs = RandomSource(seed)
     # admissible (a, b): b + b^q + a a^q = 0; sample a and then b from the
     # trace fiber over -a a^q, whose zero fiber is the trace-zero set
-    trace_zero = [e.code for e in ctx.trace_zero()]
-    fibers: Dict[int, List[int]] = {0: trace_zero}
+    trace_zero = ctx.trace_zero()
+    fibers: Dict[int, List[int]] = {0: list(trace_zero)}
     # draws pick from a fiber by index: list codes in elements() order, as
     # trace_zero() does
     for el in ctx.elements():
-        t = ctx.add_code(el.code, ctx.pow_code(el.code, q))
+        t = ctx.add_code(el, ctx.pow_code(el, q))
         if t:
-            fibers.setdefault(t, []).append(el.code)
+            fibers.setdefault(t, []).append(el)
     neg_norm = [ctx.neg[ctx.mul_code(a, ctx.pow_code(a, q))] for a in range(ctx.q)]
     nonzero_trace_zero = trace_zero[1:]
 
@@ -123,7 +123,7 @@ def sp42_suite(q: int, trials: int, seed: int) -> int:
     rs = RandomSource(seed)
     if ctx.p == 2:
         squares = {ctx.add_code(ctx.mul_code(beta, beta), beta) for beta in range(ctx.q)}
-        lams = [el.code for el in ctx.elements() if el.code not in squares]
+        lams = [el for el in ctx.elements() if el not in squares]
 
         def draw():
             a = rs.randrange(ctx.q)

@@ -17,13 +17,11 @@ from .numtheory import Factorization, factorize, lambda_value
 from .ffield import (
     BadField,
     FieldCtx,
-    FieldElement,
     embed_subfield,
+    format_element,
     get_field,
     get_field_of_order,
-    multiplicative_generator,
     solve_norm,
-    sqrt_element,
     trace_zero_sample,
 )
 
@@ -34,10 +32,6 @@ class UnsupportedFamily(ValueError):
 
 class NotUnipotentConsistent(ValueError):
     """The supplied exponent multiple was not a multiple of the order."""
-
-
-class NoAdmissibleLambda(AssertionError):
-    """Every candidate twisting scalar was rejected (cannot occur)."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +80,6 @@ class SquareMatrix:
         M = cls.__new__(cls)
         M.ctx, M.rows, M.d = ctx, rows, len(rows)
         return M
-
-    @classmethod
-    def from_elements(cls, ctx: FieldCtx, rows: Sequence[Sequence]) -> "SquareMatrix":
-        """Ints are reduced mod p and anything else goes through ctx.element
-        (which rejects another context's elements), so every code is in
-        range and only the shape needs checking."""
-        p = ctx.p
-        rows = tuple(tuple(v % p if type(v) is int else ctx.element(v).code for v in row)
-                     for row in rows)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        return cls._unchecked(ctx, rows)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, d: int) -> "SquareMatrix":
@@ -169,8 +151,8 @@ class SquareMatrix:
                                for v, w in zip(rows[r], pivot_row)]
         return [r[n:] for r in rows], det
 
-    def det(self) -> FieldElement:
-        return self.ctx.from_code(self._elimination()[1])
+    def det(self) -> int:
+        return self._elimination()[1]
 
     def inverse(self) -> "SquareMatrix":
         inv, _ = self._elimination()
@@ -182,11 +164,8 @@ class SquareMatrix:
         return all(v == (1 if i == j else 0)
                    for i, row in enumerate(self.rows) for j, v in enumerate(row))
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.ctx.from_code(self.rows[i][j])
-
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(self.ctx.from_code(v).serialize() for v in row)
+        body = "; ".join(" ".join(format_element(self.ctx, v) for v in row)
                          for row in self.rows)
         return f"SquareMatrix({self.ctx!r}, [{body}])"
 
@@ -281,7 +260,7 @@ class FormSpec:
             assert all(J.rows[i][i] == 0 for i in range(J.d))
             assert J.transpose().rows == tuple(
                 tuple(ctx.neg_code(v) for v in row) for row in J.rows)
-            assert J.det().code != 0
+            assert J.det() != 0
         elif self.kind == "hermitian":
             assert ctx.a % 2 == 0, "hermitian form needs a quadratic extension"
             assert J == J.conjugate_entries(ctx.a // 2).transpose()
@@ -457,8 +436,7 @@ def _unit_with(ctx: FieldCtx, d: int, entries: Dict[Tuple[int, int], int]) -> Sq
 
 def _sl_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     ctx = get_field_of_order(q)
-    gen = multiplicative_generator(ctx)
-    gens = [_unit_with(ctx, d, {(0, 1): (gen ** k).code}) for k in range(ctx.a)]
+    gens = [_unit_with(ctx, d, {(0, 1): ctx.exp[k]}) for k in range(ctx.a)]
     # cycle matrix with sign fix so the determinant is 1
     rows = [[0] * d for _ in range(d)]
     for i in range(d - 1):
@@ -505,8 +483,7 @@ def _transvection(form: FormSpec, v: Sequence[int], lam_code: int) -> SquareMatr
 def _sp_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     ctx = get_field_of_order(q)
     form = antidiagonal_form(ctx, d, "symplectic")
-    gen = multiplicative_generator(ctx)
-    lams = [(gen ** k).code for k in range(ctx.a)]
+    lams = [ctx.exp[k] for k in range(ctx.a)]
     vecs = []
     for i in range(d):
         vecs.append(tuple(1 if k == i else 0 for k in range(d)))
@@ -524,9 +501,8 @@ def _su_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
     t0 = trace_zero_sample(ctx)
     sub = get_field_of_order(q)
     emb = embed_subfield(sub, ctx)
-    subgen = multiplicative_generator(sub)
-    lams = [mul(t0.code, emb[(subgen ** k).code]) for k in range(sub.a)]
-    gen2 = multiplicative_generator(ctx)
+    lams = [mul(t0, emb[sub.exp[k]]) for k in range(sub.a)]
+    gen2 = ctx.exp[1]
     # isotropic vectors: basis vectors off the antidiagonal middle, weight-2
     # combinations, and for odd d a few weight-3 vectors through the middle
     # (odd dimensions have no isotropic weight-2 support containing it)
@@ -537,17 +513,17 @@ def _su_generators(d: int, q: int) -> Tuple[SquareMatrix, ...]:
         vecs.append(tuple(1 if k == i else 0 for k in range(d)))
     for i in range(d):
         for j in range(i + 1, d):
-            for w in (ctx.one, gen2, gen2 ** 2):
+            for w in (1, gen2, ctx.exp[2]):
                 v = [0] * d
-                v[i], v[j] = 1, w.code
+                v[i], v[j] = 1, w
                 if _form_value(form, v, v) == 0:
                     vecs.append(tuple(v))
     if d % 2 == 1:
         mid = d // 2
-        for s in (ctx.one, gen2):
+        for s in (1, gen2):
             for t in ctx.elements():
                 v = [0] * d
-                v[0], v[mid], v[d - 1] = 1, s.code, t.code
+                v[0], v[mid], v[d - 1] = 1, s, t
                 if _form_value(form, v, v) == 0:
                     vecs.append(tuple(v))
     return tuple(_transvection(form, v, lam) for v in vecs for lam in lams)
@@ -566,26 +542,27 @@ def suzuki_generators(q: int) -> GroupSpec:
     ctx = get_field_of_order(q)
     m = (ctx.a - 1) // 2
     r = 2 ** (m + 1)  # twisting automorphism x -> x^r, with x^(r^2) = x^2
+    mul, add, pw = ctx.mul_code, ctx.add_code, ctx.pow_code
 
-    def u(a: FieldElement, b: FieldElement) -> SquareMatrix:
-        ar = a ** r
-        return SquareMatrix.from_elements(ctx, [
+    def u(a: int, b: int) -> SquareMatrix:
+        ar = pw(a, r)
+        return SquareMatrix(ctx, [
             [1, 0, 0, 0],
             [a, 1, 0, 0],
-            [a * ar + b, ar, 1, 0],
-            [a * a * ar + a * b + b ** r, b, a, 1],
+            [add(mul(a, ar), b), ar, 1, 0],
+            [add(add(mul(mul(a, a), ar), mul(a, b)), pw(b, r)), b, a, 1],
         ])
 
-    gen = multiplicative_generator(ctx)
-    torus = SquareMatrix.from_elements(ctx, [
-        [gen ** (1 + 2 ** m), 0, 0, 0],
-        [0, gen ** (2 ** m), 0, 0],
-        [0, 0, gen ** (-(2 ** m)), 0],
-        [0, 0, 0, gen ** (-1 - 2 ** m)],
+    gen = ctx.exp[1]
+    torus = SquareMatrix(ctx, [
+        [pw(gen, 1 + 2 ** m), 0, 0, 0],
+        [0, pw(gen, 2 ** m), 0, 0],
+        [0, 0, pw(gen, -(2 ** m)), 0],
+        [0, 0, 0, pw(gen, -1 - 2 ** m)],
     ])
-    flip = SquareMatrix.from_elements(ctx, [
+    flip = SquareMatrix(ctx, [
         [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    gens = (u(ctx.one, ctx.zero), u(ctx.zero, ctx.one), torus, flip)
+    gens = (u(1, 0), u(0, 1), torus, flip)
     order = q * q * (q * q + 1) * (q - 1)
     return GroupSpec("SuzukiB2", 4, q, generators=gens, declared_order=order,
                      name=f"Sz_{q}")
@@ -727,30 +704,32 @@ def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]
     if q == 4:
         raise BadField("over GF(4) the pair generates a proper subgroup of order 1080")
     ctx = get_field_of_order(q)
-    lam = multiplicative_generator(ctx)
-    excluded = {(mu + mu.inverse()).code for mu in ctx.elements() if mu.code}
-    three = ctx.element(3)
+    mul, add, neg, inv = ctx.mul_code, ctx.add_code, ctx.neg, ctx.inv_code
+    lam = ctx.exp[1]
+    lam_m2 = ctx.pow_code(lam, -2)
+    excluded = {add(mu, inv(mu)) for mu in ctx.elements() if mu}
+    three = 3 % ctx.p
     exponent = factorize(q * q - 1)
     wanted = (q * q - 1) // (1 if q % 2 == 0 else 2)
     for m in ctx.elements():
-        if m.code in excluded:
+        if m in excluded:
             continue
-        b = lam * m + lam ** -2 - three
-        a = b + three - (lam.inverse() * m + lam * lam)
-        if not (a.code and b.code):
+        b = add(add(mul(lam, m), lam_m2), neg[three])
+        a = add(add(b, three), neg[add(mul(inv(lam), m), mul(lam, lam))])
+        if not (a and b):
             continue
         # z = companion(w^2 - lam*m*w + lam^2) + [lam^-2] block
-        z = SquareMatrix.from_elements(ctx, [
-            [0, -lam, 0],
-            [lam, lam * m, 0],
-            [0, 0, lam ** -2],
+        z = SquareMatrix(ctx, [
+            [0, neg[lam], 0],
+            [lam, mul(lam, m), 0],
+            [0, 0, lam_m2],
         ])
         if order_of_matrix(z, exponent) != wanted:
             continue
-        x, y = lineardim3_matrices(ctx, a.code, b.code)
+        x, y = lineardim3_matrices(ctx, a, b)
         xy = x * y
-        assert charpoly(xy) == lineardim3_charpoly(ctx, a.code, b.code) == charpoly(z)
-        assert x.det().code == 1 and y.det().code == 1
+        assert charpoly(xy) == lineardim3_charpoly(ctx, a, b) == charpoly(z)
+        assert x.det() == 1 and y.det() == 1
         assert order_of_matrix(xy, exponent) == wanted
         return x, y, xy
     raise BadField(f"no admissible multiplier over GF({q})")
@@ -814,29 +793,31 @@ def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     zeta = factorize(target_order).primes[0]
     sub = get_field_of_order(q)
     emb = embed_subfield(sub, ctx)
-    n = ctx.element
+    mul, add, neg, pw = ctx.mul_code, ctx.add_code, ctx.neg, ctx.pow_code
+    neg_inv_e = neg[ctx.inv_code(e)]
     for t in ctx.elements():
-        tq = t ** q
+        tq = pw(t, q)
         for f_sub in sub.elements():
-            f = ctx.from_code(emb[f_sub.code])
-            c = -(f + t + tq + n(2)) / e
-            if not c.code:
+            f = emb[f_sub]
+            c = mul(add(add(add(f, t), tq), 2 % p), neg_inv_e)
+            if not c:
                 continue
             # solved from the quartic coefficients; the printed solution for
             # b carries sign misprints, the correct one is all-plus
-            b = -(n(3) * tq + n(2) * t + n(2) * f + n(8)) / e
-            x, y = u41_matrices(ctx, e.code, b.code, c.code)
+            b = mul(add(add(add(mul(3 % p, tq), mul(2 % p, t)), mul(2 % p, f)), 8 % p),
+                    neg_inv_e)
+            x, y = u41_matrices(ctx, e, b, c)
             if not (form.preserves(x) and form.preserves(y)):
                 continue
             xy = x * y
-            if charpoly(xy) != (1, tq.code, f.code, t.code, 1):
+            if charpoly(xy) != (1, tq, f, t, 1):
                 continue
             if not (xy ** target_order).is_identity():
                 continue
             if target_order > 1 and (xy ** (target_order // zeta)).is_identity():
                 continue
-            assert charpoly(xy) == u41_charpoly(ctx, e.code, b.code, c.code)
-            assert (e ** q + e).code == 0 and (c ** q + c).code == 0
+            assert charpoly(xy) == u41_charpoly(ctx, e, b, c)
+            assert add(pw(e, q), e) == 0 and add(pw(c, q), c) == 0
             return x, y, xy
     raise BadField(f"no admissible (t, f) found for SU_4({q})")
 
@@ -864,22 +845,25 @@ def u3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     ctx = get_field(p, 2 * h)
     form = antidiagonal_form(ctx, 3, "hermitian")
     e = trace_zero_sample(ctx)
-    lam = multiplicative_generator(ctx)
-    b = (lam + lam ** (q - 1) + lam ** (-q) - ctx.element(3)) / e
-    bq = b ** q
-    s = b + bq
+    mul, add, neg, pw = ctx.mul_code, ctx.add_code, ctx.neg, ctx.pow_code
+    inv_e = ctx.inv_code(e)
+    # the diagonal lam, lam^(q-1), lam^(-q) of the target semisimple element
+    lam = ctx.exp[1]
+    lam1, lam2 = pw(lam, q - 1), pw(lam, -q)
+    b = mul(add(add(add(lam, lam1), lam2), neg[3 % p]), inv_e)
+    bq = pw(b, q)
+    s = add(b, bq)
     # the nonvanishing identity from the construction
-    factored = (ctx.one - lam) * (lam ** (-q) - ctx.one) * (ctx.one - lam ** (q - 1)) / e
-    assert s == factored and s.code != 0
-    a = solve_norm(ctx, -s)
-    assert a.code != 0
-    assert (b + bq + a * a ** q).code == 0
-    x, y = u3_matrices(ctx, e.code, a.code, b.code)
+    factored = mul(mul(mul(add(1, neg[lam]), add(lam2, neg[1])), add(1, neg[lam1])), inv_e)
+    assert s == factored and s != 0
+    a = solve_norm(ctx, neg[s])
+    assert a != 0
+    assert add(s, mul(a, pw(a, q))) == 0
+    x, y = u3_matrices(ctx, e, a, b)
     assert form.preserves(x) and form.preserves(y)
     xy = x * y
-    z = SquareMatrix.from_elements(ctx, [
-        [lam, 0, 0], [0, lam ** (q - 1), 0], [0, 0, lam ** (-q)]])
-    assert charpoly(xy) == u3_charpoly(ctx, e.code, a.code, b.code) == charpoly(z)
+    z = SquareMatrix(ctx, [[lam, 0, 0], [0, lam1, 0], [0, 0, lam2]])
+    assert charpoly(xy) == u3_charpoly(ctx, e, a, b) == charpoly(z)
     assert order_of_matrix(xy, factorize(q * q - 1)) == q * q - 1
     return x, y, xy
 
@@ -930,34 +914,36 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     pair for even q >= 4; product order (q^2+1)/gcd(2,q-1)."""
     ctx = get_field_of_order(q)
     p = ctx.p
+    mul, add, neg = ctx.mul_code, ctx.add_code, ctx.neg
     form = antidiagonal_form(ctx, 4, "symplectic")
     if p == 2:
         if q < 4:
             raise BadField("even branch needs q >= 4")
         target_order = q * q + 1
-        squares = {(beta * beta + beta).code for beta in ctx.elements()}
-        lams = [el for el in ctx.elements() if el.code not in squares]
-        assert len(lams) >= 2, NoAdmissibleLambda("fewer than two twist choices")
+        squares = {add(mul(beta, beta), beta) for beta in ctx.elements()}
+        lams = [el for el in ctx.elements() if el not in squares]
+        assert len(lams) >= 2, "fewer than two twist choices"
         fac = factorize(target_order)
         for t in ctx.elements():
-            if not t.code:
+            if not t:
                 continue
             for f in ctx.elements():
-                if not f.code:
+                if not f:
                     continue
                 b = t
-                lam = lams[0] if (b * lams[0]).code != 1 else lams[1]
-                a = sqrt_element(f / (b * lam + ctx.one))
-                x, y = sp42_matrices_even(ctx, a.code, b.code, lam.code)
+                lam = lams[0] if mul(b, lams[0]) != 1 else lams[1]
+                # the square root in characteristic 2 is the q/2-power map
+                a = ctx.pow_code(mul(f, ctx.inv_code(add(mul(b, lam), 1))), q // 2)
+                x, y = sp42_matrices_even(ctx, a, b, lam)
                 xy = x * y
-                if charpoly(xy) != (1, t.code, f.code, t.code, 1):
+                if charpoly(xy) != (1, t, f, t, 1):
                     continue
                 if not (xy ** target_order).is_identity():
                     continue
                 if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
                     continue
                 assert form.preserves(x) and form.preserves(y)
-                assert charpoly(xy) == sp42_charpoly_even(ctx, a.code, b.code, lam.code)
+                assert charpoly(xy) == sp42_charpoly_even(ctx, a, b, lam)
                 assert order_of_matrix(x, factorize(8)) == 4
                 assert order_of_matrix(y, factorize(8)) == 4
                 return x, y, xy
@@ -966,24 +952,23 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
         raise BadField("odd branch needs q > 3")
     target_order = (q * q + 1) // 2
     fac = factorize(target_order)
-    n = ctx.element
     for t in ctx.elements():
         # palindromic target w^4 + t w^3 + f w^2 + t w + 1; the printed
         # w^3 coefficient is -(4+a), so a = -4 - t
-        a = -n(4) - t
+        a = neg[add(4 % p, t)]
         for f in ctx.elements():
-            b = f - n(6) - n(2) * a
-            if not b.code and p == 3:
+            b = add(f, neg[add(6 % p, mul(2 % p, a))])
+            if not b and p == 3:
                 continue  # keep o(x) = 9 at p = 3
-            x, y = sp42_matrices_odd(ctx, a.code, b.code)
+            x, y = sp42_matrices_odd(ctx, a, b)
             xy = x * y
-            if charpoly(xy) != (1, t.code, f.code, t.code, 1):
+            if charpoly(xy) != (1, t, f, t, 1):
                 continue
             if not (xy ** target_order).is_identity():
                 continue
             if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
                 continue
             assert form.preserves(x) and form.preserves(y)
-            assert charpoly(xy) == sp42_charpoly_odd(ctx, a.code, b.code)
+            assert charpoly(xy) == sp42_charpoly_odd(ctx, a, b)
             return x, y, xy
     raise BadField(f"no admissible (t, f) found for Sp_4({q})")

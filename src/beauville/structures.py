@@ -198,7 +198,7 @@ def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[
     kind = kinds[spec.family]
     form = antidiagonal_form(ctx, spec.d, kind) if kind else None
     for g in gens:
-        if g.det().code != 1 or (form is not None and not form.preserves(g)):
+        if g.det() != 1 or (form is not None and not form.preserves(g)):
             return None
     return classical_order(spec).value
 

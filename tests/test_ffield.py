@@ -9,13 +9,11 @@ from beauville.ffield import (
     _is_irreducible,
     _least_irreducible,
     embed_subfield,
-    frobenius,
+    format_element,
     get_field,
     get_field_of_order,
-    multiplicative_generator,
     parse_element,
     solve_norm,
-    sqrt_element,
     trace_zero_sample,
 )
 from beauville.numtheory import factorize
@@ -57,46 +55,63 @@ def test_modulus_search_prefilter_keeps_lex_least():
         assert _least_irreducible(p, a) == reference_least_irreducible(p, a), (p, a)
 
 
+def test_elements_are_in_lex_coefficient_order():
+    for p, a in FIELDS:
+        F = get_field(p, a)
+        assert F.elements() == [F._encode(c) for c in itertools.product(range(p), repeat=a)]
+
+
 def test_field_axioms_sampled():
     rs = RandomSource(11)
     for p, a in FIELDS:
         F = get_field(p, a)
+        mul, add = F.mul_code, F.add_code
         for _ in range(400):
-            x = F.from_code(rs.randrange(F.q))
-            y = F.from_code(rs.randrange(F.q))
-            z = F.from_code(rs.randrange(F.q))
-            assert (x + y) * z == x * z + y * z
-            assert (x * y) * z == x * (y * z)
-            assert x + y == y + x and x * y == y * x
-            if x.code:
-                assert x * x.inverse() == F.one
-                assert (F.one / x) * x == F.one
+            x, y, z = (rs.randrange(F.q) for _ in range(3))
+            assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+            assert add(add(x, y), z) == add(x, add(y, z))
+            assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
+            assert add(x, 0) == mul(x, 1) == x and add(x, F.neg_code(x)) == 0
+            if x:
+                assert mul(x, F.inv_code(x)) == 1
+    with pytest.raises(ZeroDivisionError):
+        get_field(3, 2).inv_code(0)
 
 
 def test_frobenius_is_automorphism_fixing_prime_field():
+    # x -> x^p, as pow_code computes it
     for p, a in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 4), (5, 2)]:
         F = get_field(p, a)
-        fixed = []
-        for x in F.elements():
-            assert frobenius(x, 1) == x ** p
-            if frobenius(x, 1) == x:
-                fixed.append(x)
-            for y in F.elements():
-                if x.code < 5 and y.code < 5:
-                    assert frobenius(x * y, 1) == frobenius(x, 1) * frobenius(y, 1)
-                    assert frobenius(x + y, 1) == frobenius(x, 1) + frobenius(y, 1)
-        assert len(fixed) == p
-        x = multiplicative_generator(F)
-        assert frobenius(frobenius(x, 1), a - 1) == x
+        frob = [F.pow_code(x, p) for x in range(F.q)]
+        assert sorted(frob) == list(range(F.q))
+        assert [x for x in range(F.q) if frob[x] == x] == list(range(p))
+        for x in range(F.q):
+            for y in range(F.q):
+                assert frob[F.mul_code(x, y)] == F.mul_code(frob[x], frob[y])
+                assert frob[F.add_code(x, y)] == F.add_code(frob[x], frob[y])
+        g = F.exp[1]
+        assert F.pow_code(frob[g], p ** (a - 1)) == g
 
 
 def test_multiplicative_generator():
-    assert multiplicative_generator(get_field(2, 1)).code == 1
-    assert multiplicative_generator(get_field(7)).code == 3  # least primitive root of 7
-    g9 = multiplicative_generator(get_field(3, 2))
-    assert g9.multiplicative_order() == 8
-    x4 = multiplicative_generator(get_field(2, 2))
-    assert frobenius(x4, 1) == x4 * x4 == x4 + get_field(2, 2).one
+    # exp[1] is the least code of order q - 1, in elements() order
+    assert get_field(2, 1).exp[1] == 1
+    assert get_field(7).exp[1] == 3  # least primitive root of 7
+    x4 = get_field(2, 2).exp[1]
+    assert get_field(2, 2).pow_code(x4, 2) == get_field(2, 2).add_code(x4, 1)
+    for p, a in FIELDS:
+        F = get_field(p, a)
+        g = F.exp[1]
+        powers, x = [], 1
+        for _ in range(F.q - 1):  # by the digit reference, not the tables
+            powers.append(x)
+            x = _ref_mul(F, x, g)
+        assert x == 1 and len(set(powers)) == F.q - 1
+        for code in F.elements():
+            if code == g:
+                break
+            assert code == 0 or len({F.pow_code(code, k) for k in range(F.q - 1)}) < F.q - 1
 
 
 def test_norm_surjectivity_exhaustive():
@@ -104,33 +119,37 @@ def test_norm_surjectivity_exhaustive():
         F = get_field(p, a)
         q = p ** (a // 2)
         sub = get_field(p, a // 2)
-        image = {(x * x ** q).code for x in F.elements()}
+        image = {F.mul_code(x, F.pow_code(x, q)) for x in F.elements()}
         assert image == set(embed_subfield(sub, F).values())
 
 
 def test_solve_norm():
+    for p, a in [(3, 2), (2, 4), (5, 2)]:
+        F = get_field(p, a)
+        q = p ** (a // 2)
+        norm = [F.mul_code(x, F.pow_code(x, q)) for x in range(F.q)]
+        for c in embed_subfield(get_field(p, a // 2), F).values():
+            x = solve_norm(F, c)
+            assert norm[x] == c
+            # the least solution in elements() order
+            assert x == next(y for y in F.elements() if norm[y] == c and (y or not c))
     F9 = get_field(3, 2)
-    c = get_field(3, 1).element(2)
-    x = solve_norm(F9, c)
-    assert x * x ** 3 == F9.from_code(embed_subfield(get_field(3, 1), F9)[2])
-    assert solve_norm(F9, F9.zero) == F9.zero
-    one = solve_norm(F9, get_field(3, 1).element(1))
-    assert one * one ** 3 == F9.one
+    assert solve_norm(F9, 0) == 0
     with pytest.raises(NotInSubfield):
-        solve_norm(F9, multiplicative_generator(F9))  # generator is not norm-fixed
+        solve_norm(F9, F9.exp[1])  # the generator is not fixed by x -> x^3
+    with pytest.raises(ValueError):
+        solve_norm(get_field(3, 3), 1)  # not a quadratic extension
 
 
 def test_trace_zero_sample():
-    e4 = trace_zero_sample(get_field(2, 2))
-    assert e4 == get_field(2, 2).one
-    e9 = trace_zero_sample(get_field(3, 2))
-    assert (e9 ** 3 + e9).code == 0 and e9.code
-    assert e9 * e9 == -get_field(3, 2).one  # e^2 = -1 in GF(9)
+    assert trace_zero_sample(get_field(2, 2)) == 1
+    F9 = get_field(3, 2)
+    e9 = trace_zero_sample(F9)
+    assert e9 and F9.mul_code(e9, e9) == F9.neg_code(1)  # e^2 = -1 in GF(9)
     for p, a in [(2, 2), (3, 2), (5, 2), (2, 4)]:
         F = get_field(p, a)
-        q = p ** (a // 2)
         e = trace_zero_sample(F)
-        assert e ** q == -e
+        assert e and F.pow_code(e, p ** (a // 2)) == F.neg_code(e)
 
 
 def test_trace_zero_set():
@@ -138,37 +157,47 @@ def test_trace_zero_set():
         F = get_field_of_order(q * q)
         tz = F.trace_zero()
         assert len(tz) == q
-        assert all(e ** q + e == F.zero for e in tz)
-        # elements() order, so zero first and trace_zero_sample second
-        order = {e.code: i for i, e in enumerate(F.elements())}
-        assert [order[e.code] for e in tz] == sorted(order[e.code] for e in tz)
-        assert tz[0] == F.zero and tz[1] == trace_zero_sample(F)
+        # exactly the codes e with e^q + e = 0, in elements() order, so zero
+        # first and trace_zero_sample second
+        assert list(tz) == [e for e in F.elements() if F.add_code(F.pow_code(e, q), e) == 0]
+        assert tz[0] == 0 and tz[1] == trace_zero_sample(F)
         assert F.trace_zero() is tz
 
 
 def test_embedding_is_ring_hom():
-    sub, sup = get_field(3, 1), get_field(3, 4)
-    emb = embed_subfield(sub, sup)
-    for x in sub.elements():
-        for y in sub.elements():
-            fx, fy = sup.from_code(emb[x.code]), sup.from_code(emb[y.code])
-            assert emb[(x * y).code] == (fx * fy).code
-            assert emb[(x + y).code] == (fx + fy).code
+    for (p, a), m in [((3, 1), 4), ((2, 2), 2), ((2, 2), 3), ((5, 1), 2), ((3, 2), 2)]:
+        sub, sup = get_field(p, a), get_field(p, a * m)
+        emb = embed_subfield(sub, sup)
+        assert embed_subfield(sub, sup) is emb
+        assert len(set(emb.values())) == sub.q and emb[1] == 1
+        for x in range(sub.q):
+            for y in range(sub.q):
+                assert emb[sub.mul_code(x, y)] == sup.mul_code(emb[x], emb[y])
+                assert emb[sub.add_code(x, y)] == sup.add_code(emb[x], emb[y])
+    with pytest.raises(ValueError):
+        embed_subfield(get_field(2, 2), get_field(2, 3))
 
 
 def test_sqrt():
-    assert sqrt_element(get_field(7).element(2)).code == 3
-    F = get_field(3, 2)
-    for x in F.elements():
-        y = sqrt_element(x * x)
-        assert y * y == x * x
+    # in characteristic 2 the square root is unique: c^(q/2)
+    for a in range(1, 12):
+        F = get_field(2, a)
+        for c in range(F.q):
+            r = F.pow_code(c, F.q // 2)
+            assert F.mul_code(r, r) == c
 
 
 def test_serialization_round_trip():
+    for p, a in [(3, 2), (2, 3), (5, 1)]:
+        F = get_field(p, a)
+        for x in range(F.q):
+            assert parse_element(F, format_element(F, x)) == x
     F = get_field(3, 2)
-    for x in F.elements():
-        assert parse_element(F, x.serialize()) == x
-    assert F.element([2, 1]).serialize() == "2,1"
+    assert format_element(F, F._encode([2, 1])) == "2,1"
+    assert parse_element(F, " 2,1 ") == 5 and parse_element(F, "4") == 1  # reduced mod 3
+    for bad in ("1,0,1", "1,x", "", "1,"):
+        with pytest.raises(ValueError):
+            parse_element(F, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +241,6 @@ def _check_pairs(F, pairs):
     for i, j in pairs:
         s, prod = _ref_add(F, i, j), _ref_mul(F, i, j)
         assert F.add_code(i, j) == s and F.mul_code(i, j) == prod, (F, i, j)
-        x, y = F.from_code(i), F.from_code(j)
-        assert (x + y).code == s and (x * y).code == prod
-        assert (x - y).code == _ref_add(F, i, _ref_neg(F, j))
 
 
 def _sampled_pairs(F, count, seed):
@@ -227,7 +253,7 @@ def _sampled_pairs(F, count, seed):
 def test_table_arithmetic_matches_digit_reference(p, a):
     F = get_field(p, a)
     for i in range(F.q):
-        assert F.neg_code(i) == _ref_neg(F, i) == (-F.from_code(i)).code
+        assert F.neg_code(i) == _ref_neg(F, i)
     if F.q <= 81:
         pairs = itertools.product(range(F.q), repeat=2)
     else:

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from beauville.ffield import get_field, multiplicative_generator
+from beauville.ffield import get_field
 from beauville.identities import _mismatches
 from beauville.matgrp import (
     BadField,
@@ -75,7 +76,7 @@ def test_charpoly_basics():
     F = get_field(5)
     assert charpoly(SquareMatrix.identity(F, 2)) == (1, 3, 1)  # (w-1)^2
     # companion matrix reproduces its polynomial
-    comp = SquareMatrix.from_elements(F, [[0, 1], [-2, 3]])  # w^2 - 3w + 2
+    comp = SquareMatrix(F, [[0, 1], [3, 3]])  # w^2 - 3w + 2
     assert charpoly(comp) == (2, 2, 1)
     # similarity invariance on random samples
     rs = RandomSource(5)
@@ -83,7 +84,7 @@ def test_charpoly_basics():
     for _ in range(50):
         M = SquareMatrix(F9, [[rs.randrange(9) for _ in range(3)] for _ in range(3)])
         g = SquareMatrix(F9, [[rs.randrange(9) for _ in range(3)] for _ in range(3)])
-        if g.det().code == 0:
+        if g.det() == 0:
             continue
         assert charpoly(g.inverse() * M * g) == charpoly(M)
 
@@ -93,10 +94,11 @@ def test_order_of_matrix():
     assert order_of_matrix(SquareMatrix.identity(F, 3), factorize(168)) == 1
     # companion of a primitive polynomial is a Singer cycle of order q^d - 1
     F3 = get_field(3)
-    comp = SquareMatrix.from_elements(F3, [[0, 1], [1, 1]])  # w^2 - w - 1 primitive
+    comp = SquareMatrix(F3, [[0, 1], [1, 1]])  # w^2 - w - 1 primitive
     assert order_of_matrix(comp, factorize(8)) == 8
-    lam = multiplicative_generator(get_field(7))
-    diag = SquareMatrix.from_elements(get_field(7), [[lam, 0], [0, lam ** -1]])
+    F7 = get_field(7)
+    lam = F7.exp[1]
+    diag = SquareMatrix(F7, [[lam, 0], [0, F7.inv_code(lam)]])
     assert order_of_matrix(diag, factorize(6)) == 6
     from beauville.matgrp import NotUnipotentConsistent
     with pytest.raises(NotUnipotentConsistent):
@@ -112,13 +114,13 @@ def test_form_preservation_of_standard_generators():
     form = antidiagonal_form(get_field(3, 2), 3, "hermitian")
     for g in standard_generators(spec):
         assert form.preserves(g)
-        assert g.det().code == 1
+        assert g.det() == 1
 
 
 def test_lineardim3():
     for q in (5, 7, 8, 9):
         x, y, xy = lineardim3_triple(q)
-        assert x.det().code == 1 and y.det().code == 1
+        assert x.det() == 1 and y.det() == 1
         want = (q * q - 1) if q % 2 == 0 else (q * q - 1) // 2
         assert order_of_matrix(xy, factorize(q * q - 1)) == want
     for q in (3, 4):
@@ -364,7 +366,7 @@ def test_kernels_match_reference(p, a):
                         value = F.add_code(F.mul_code(value, w), c)
                     assert value == _ref_det(F, shifted)
             det = _ref_det(F, A)
-            assert M.det().code == det
+            assert M.det() == det
             if det:
                 inv = M.inverse()
                 assert _ref_mul(F, A, inv.rows) == _ref_mul(F, inv.rows, A) == ident
@@ -389,7 +391,7 @@ def _ref_preserves(form, g):
 def _random_invertible(F, d, rs):
     while True:
         P = SquareMatrix(F, [[rs.randrange(F.q) for _ in range(d)] for _ in range(d)])
-        if P.det().code:
+        if P.det():
             return P
 
 
@@ -406,8 +408,8 @@ def test_preserves_matches_reference(p, a):
         for kind in kinds:
             form = antidiagonal_form(F, d, kind)
             members = [SquareMatrix.identity(F, d)]
-            members.append(SquareMatrix.from_elements(F, [[-1 if i == j else 0 for j in range(d)]
-                                                          for i in range(d)]))
+            members.append(SquareMatrix(F, [[F.neg_code(1) if i == j else 0 for j in range(d)]
+                                            for i in range(d)]))
             if kind == "symplectic" and d == 4:
                 members += standard_generators(GroupSpec("Sp", 4, F.q))
             if kind == "hermitian" and d in (3, 4) and p ** (a // 2) > 2:
@@ -477,10 +479,34 @@ def test_square_matrix_checks_shape_and_codes():
         SquareMatrix(F, [[0, -1], [1, 0]])
     with pytest.raises(ValueError):
         SquareMatrix(F, [[0, 1], [1]])
-    assert SquareMatrix.from_elements(F, [[7, -1], [0, 1]]).rows == ((2, 4), (0, 1))
-    with pytest.raises(ValueError):
-        SquareMatrix.from_elements(F, [[1, 0], [0]])
-    with pytest.raises(ValueError):
-        SquareMatrix.from_elements(F, [[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(ValueError):  # an element of GF(25) in a GF(5) matrix
-        SquareMatrix.from_elements(F, [[get_field(5, 2).from_code(1), 0], [0, 1]])
+
+
+# Every matrix of the explicit triples and of the standard generating sets,
+# hashed: a change in how their entries are computed must keep each code.
+PINNED_TRIPLES = [
+    (lineardim3_triple, (5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)),
+    (u41_triple, (3, 4, 5, 7, 8, 9)),
+    (u3_triple, (3, 4, 5, 7, 8, 9, 11, 13, 16, 25)),
+    (sp42_triple, (4, 5, 7, 8, 9, 11, 13, 16, 25)),
+]
+
+
+def test_triples_are_pinned():
+    digest = hashlib.sha256()
+    for fn, qs in PINNED_TRIPLES:
+        for q in qs:
+            digest.update(repr((fn.__name__, q, [M.rows for M in fn(q)])).encode())
+    assert digest.hexdigest() == "da77efd9905d700855bec0123be96651a531142c6724edc35c33bd6c578964b5"
+
+
+def test_standard_generators_are_pinned():
+    specs = [GroupSpec(family, d, q)
+             for family, dims in (("SL", (2, 3, 4)), ("Sp", (2, 4)), ("SU", (2, 3, 4, 5)))
+             for d in dims for q in (2, 3, 4, 5, 7, 8, 9)]
+    specs += [GroupSpec("SuzukiB2", 4, q) for q in (8, 32)]
+    assert len(specs) == 65
+    digest = hashlib.sha256()
+    for spec in specs:
+        gens = standard_generators(spec)
+        digest.update(repr((spec.family, spec.d, spec.q, [M.rows for M in gens])).encode())
+    assert digest.hexdigest() == "5c3bb3eefc760faf639f84c5e271b24245c0a2e5968757c5fc704fefcf3e875c"
