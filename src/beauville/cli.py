@@ -31,7 +31,7 @@ from .structures import (
     Exhausted,
     search_by_type,
 )
-from .identities import run_identity_suite
+from .identities import SuiteRangeError, run_identity_suite
 
 
 def cmd_zsigmondy(args) -> int:
@@ -121,8 +121,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    failures = run_identity_suite(args.lemma, qmax=args.qmax, trials=args.trials,
-                                  seed=args.seed, verbose=True)
+    try:
+        failures = run_identity_suite(args.lemma, qmax=args.qmax, trials=args.trials,
+                                      seed=args.seed, verbose=True)
+    except SuiteRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if failures == 0 else 1
 
 

@@ -6,16 +6,24 @@ compares charpoly(x*y) against the printed coefficient formula.  Parameters
 are element codes (see ffield), drawn directly or picked from code pools in
 elements() order, and the matrix builders and printed polynomials of matgrp
 take codes.  The draw streams are seeded, so runs are reproducible.
+
+A suite draws all its trials first and checks them as one stack (see
+matgrp): the product x*y, the form checks of x and y and the charpoly of
+x*y are numpy gathers on the field tables over every draw at once.  The
+checks consume no randomness, so the draw stream is the one a draw-by-draw
+check would see.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from .ffield import get_field, get_field_of_order
 from .matgrp import (
+    MatrixStack,
     antidiagonal_form,
-    charpoly,
     lineardim3_charpoly,
     lineardim3_matrices,
     sp42_charpoly_even,
@@ -31,6 +39,13 @@ from .numtheory import factorize
 from .permgrp import RandomSource
 
 _PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25]
+# draws checked per stack: one stack at the default 1,000 trials, and
+# bounded memory at any trial count
+_STACK_LIMIT = 1000
+
+
+class SuiteRangeError(ValueError):
+    """A trial count or qmax outside the range the suites can run."""
 
 
 def _fields_for(lemma: str, qmax: int) -> List[int]:
@@ -50,14 +65,16 @@ def _pick(pool: Sequence, rs: RandomSource):
 def _mismatches(trials: int, draw, form=None) -> int:
     """How many of `trials` draws fail: draw() returns matrices x, y and
     the printed charpoly of x*y, and x, y must also preserve form, if one
-    is given."""
+    is given.  Draws are checked in stacks of up to _STACK_LIMIT."""
     mismatches = 0
-    for _ in range(trials):
-        x, y, printed = draw()
-        ok = ((form is None or (form.preserves(x) and form.preserves(y)))
-              and charpoly(x * y) == printed)
-        if not ok:
-            mismatches += 1
+    for start in range(0, trials, _STACK_LIMIT):
+        xs, ys, printed = zip(*[draw() for _ in range(min(_STACK_LIMIT, trials - start))])
+        X, Y = MatrixStack(xs), MatrixStack(ys)
+        ok = np.array([tuple(cp) == want
+                       for cp, want in zip((X * Y).charpolys().tolist(), printed)])
+        if form is not None:
+            ok &= form.preserves_each(X) & form.preserves_each(Y)
+        mismatches += len(ok) - int(np.count_nonzero(ok))
     return mismatches
 
 
@@ -151,8 +168,17 @@ _SUITES = {
 
 def run_identity_suite(lemma: str, qmax: int = 25, trials: int = 1000,
                        seed: int = 0, verbose: bool = False) -> int:
-    """Total mismatch count across the parity-appropriate fields up to qmax."""
+    """Total mismatch count across the parity-appropriate fields up to qmax.
+
+    SuiteRangeError for trials < 1, or for a qmax that leaves a suite with
+    no field or passes the largest field the suites list."""
     lemmas = list(_SUITES) if lemma == "all" else [lemma]
+    if trials < 1:
+        raise SuiteRangeError(f"trials must be at least 1, got {trials}")
+    top = _PRIME_POWERS[-1]
+    least = max(_fields_for(name, top)[0] for name in lemmas)
+    if not least <= qmax <= top:
+        raise SuiteRangeError(f"qmax must be in {least}..{top} for {lemma}, got {qmax}")
     total = 0
     for name in lemmas:
         suite = _SUITES[name]

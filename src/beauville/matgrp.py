@@ -4,14 +4,27 @@ Matrices act on row vectors (v -> v*M), so products compose left to right,
 matching the permutation convention in permgrp.  Characteristic polynomials
 are returned monic as det(wI - M); the printed coefficient formulas from
 the small-rank constructions are normalized the same way before comparing.
+
+Two sets of kernels read the field tables.  The scalar ones (the product,
+elimination, `charpoly`, `FormSpec.preserves`) take one SquareMatrix in
+pure Python.  The stack ones (`MatrixStack` products and `charpolys`,
+`FormSpec.preserves_each`) take n matrices of one dimension as an
+(n, d, d) code array and run numpy gathers over all n at once; the
+identity suites check their draws with them.  The scalar kernels stay for
+the callers that hold one matrix at a time and stop early, the triple
+solvers and the realization bounds, where a stack of one would pay
+numpy's call overhead on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .numtheory import Factorization, factorize, lambda_value
 from .ffield import (
@@ -243,6 +256,115 @@ def order_of_matrix(M: SquareMatrix, exponent_multiple: Factorization) -> int:
 
 
 # ---------------------------------------------------------------------------
+# matrix stacks
+
+
+class FieldArrays:
+    """int64 numpy copies of a context's exp/log, spread/fold and neg tables
+    (see ffield), with the two stack reductions built on them.  One per
+    context, from field_arrays."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.exp, self.log, self.spread, self.fold, self.neg = (
+            np.array(t, np.int64) for t in (ctx.exp, ctx.log, ctx.spread, ctx.fold, ctx.neg))
+        # the spread of a product and of a folded digit sum, so that a
+        # running sum stays spread and takes one lookup per term
+        self._exp_spread = self.spread[self.exp]
+        self._fold_spread = self.spread[self.fold]
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k a_k b_k over the last axis of two code arrays, broadcasting
+        the others."""
+        terms = self._exp_spread[self.log[a] + self.log[b]]
+        acc = terms[..., 0] if terms.shape[-1] else np.zeros(terms.shape[:-1], np.int64)
+        for k in range(1, terms.shape[-1]):
+            acc = self._fold_spread[acc + terms[..., k]]
+        return self.fold[acc]
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of the d x d code matrices in the last two axes,
+        broadcasting the leading ones."""
+        return self.dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+
+
+@functools.cache
+def field_arrays(ctx: FieldCtx) -> FieldArrays:
+    """The numpy tables of ctx, built on first use and kept with it."""
+    return FieldArrays(ctx)
+
+
+class MatrixStack:
+    """n matrices of one dimension over one context, held as an (n, d, d)
+    int64 array of codes; the stack kernels check all n at once."""
+
+    __slots__ = ("ctx", "codes")
+
+    def __init__(self, matrices: Sequence[SquareMatrix]):
+        if not matrices:
+            raise ValueError("a stack needs at least one matrix")
+        ctx, d = matrices[0].ctx, matrices[0].d
+        if any(M.ctx is not ctx or M.d != d for M in matrices):
+            raise ValueError("a stack holds matrices of one context and one dimension")
+        chain = itertools.chain.from_iterable
+        self.ctx = ctx
+        self.codes = np.fromiter(chain(chain(M.rows for M in matrices)), np.int64,
+                                 len(matrices) * d * d).reshape(len(matrices), d, d)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, codes: np.ndarray) -> "MatrixStack":
+        S = cls.__new__(cls)
+        S.ctx, S.codes = ctx, codes
+        return S
+
+    @property
+    def d(self) -> int:
+        return self.codes.shape[1]
+
+    def __mul__(self, other: "MatrixStack") -> "MatrixStack":
+        """The products self[i] * other[i]."""
+        if self.ctx is not other.ctx:
+            raise ValueError("mixed field contexts")
+        if self.codes.shape != other.codes.shape:
+            raise ValueError("stacks differ in length or dimension")
+        return MatrixStack._of(self.ctx, field_arrays(self.ctx).matmul(self.codes, other.codes))
+
+    def charpolys(self) -> np.ndarray:
+        """det(wI - M) for every M, as an (n, d + 1) array of coefficient
+        codes, low first and monic.
+
+        Berkowitz's algorithm (S. J. Berkowitz, Inf. Proc. Letters 18,
+        1984), which needs no pivots and so no branch on the entries.  For
+        r = d - 1 down to 0, write the trailing block M[r:, r:] as
+        [[a, R], [C, B]].  Its polynomial, high coefficient first, is the
+        lower-triangular Toeplitz matrix with first column
+        (1, -a, -RC, -RBC, ..., -R B^(d-r-2) C) times that of B.  One dot
+        with M[r:, r + 1:] = [R; B] gives R u and B u together.
+        """
+        t = field_arrays(self.ctx)
+        A, d = self.codes, self.d
+        one, zero = np.ones(len(A), np.int64), np.zeros(len(A), np.int64)
+        poly = one[:, None]  # of the empty block
+        for r in range(d - 1, -1, -1):
+            col = [one, t.neg[A[:, r, r]]]
+            RB, u = A[:, r:, r + 1:], A[:, r + 1:, r]
+            for _ in range(d - r - 1):
+                w = t.dot(RB, u[:, None, :])
+                col.append(t.neg[w[:, 0]])
+                u = w[:, 1:]
+            # the Toeplitz matrix, its zeros read from a zero last column
+            col.append(zero)
+            poly = t.dot(np.stack(col, axis=1)[:, _toeplitz_index(d - r)], poly[:, None, :])
+        return poly[:, ::-1]
+
+
+@functools.cache
+def _toeplitz_index(s: int) -> np.ndarray:
+    """The (s + 1) x s indices i - j on and below the diagonal, s + 1 above."""
+    i, j = np.arange(s + 1)[:, None], np.arange(s)
+    return np.where(i >= j, i - j, s + 1)
+
+
+# ---------------------------------------------------------------------------
 # invariant forms
 
 
@@ -313,6 +435,26 @@ class FormSpec:
                 if acc != want:
                     return False
         return True
+
+    def preserves_each(self, stack: MatrixStack) -> np.ndarray:
+        """preserves() for every matrix of a stack, as a bool array: g J and
+        then (g J) sigma(g)^T on the stack kernels, compared with J in
+        every entry.  sigma keeps zero at zero, as in preserves()."""
+        J = self.gram
+        ctx = J.ctx
+        if stack.ctx is not ctx:
+            raise ValueError("mixed field contexts")
+        if stack.d != J.d:
+            raise ValueError(f"{stack.d} x {stack.d} matrices cannot preserve a "
+                             f"{J.d}-dimensional form")
+        t = field_arrays(ctx)
+        G, gram = stack.codes, np.array(J.rows, np.int64).reshape(J.d, J.d)
+        sigma = G
+        if self.kind == "hermitian":
+            m = ctx.q - 1
+            sigma = t.exp[np.where(G != 0, t.log[G] * ctx.p ** (ctx.a // 2) % m, 2 * m)]
+        image = t.matmul(t.matmul(G, gram), np.swapaxes(sigma, 1, 2))
+        return (image == gram).all(axis=(1, 2))
 
 
 def antidiagonal_form(ctx: FieldCtx, d: int, kind: str) -> FormSpec:

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ffield import FieldCtx
-from .matgrp import SquareMatrix, binary_power
+from .matgrp import SquareMatrix, binary_power, field_arrays
 
 
 class TooManyPoints(ValueError):
@@ -419,9 +419,8 @@ class PointAction:
     contract): every nonzero vector, or every projective representative
     whose first nonzero coordinate is 1.  Its key sum_k v_k q^(d-1-k) is
     therefore increasing in i, and an image's index is a binary search on
-    its key.  permutation() maps all points at once with numpy copies of
-    the context's exp/log and spread/fold tables (see ffield), made once
-    per action.
+    its key.  permutation() maps all points at once with the context's
+    numpy tables (matgrp.field_arrays).
     """
 
     def __init__(self, ctx: FieldCtx, d: int, kind: str):
@@ -444,14 +443,14 @@ class PointAction:
         self.kind = kind
         self.keys = keys
         self._weights = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        self._exp, self._log, self._spread, self._fold = (
-            np.array(t, np.int64) for t in (ctx.exp, ctx.log, ctx.spread, ctx.fold))
-        self._point_logs = self._log[keys[:, None] // self._weights % q]
+        self._tables = field_arrays(ctx)
+        self._point_logs = self._tables.log[keys[:, None] // self._weights % q]
 
     def permutation(self, M: SquareMatrix) -> Permutation:
         if M.ctx is not self.ctx or M.d != self.d:
             raise ValueError("matrix does not act on these points")
-        exp, log, spread, fold = self._exp, self._log, self._spread, self._fold
+        t = self._tables
+        exp, log, spread, fold = t.exp, t.log, t.spread, t.fold
         logs = self._point_logs
         n = len(self.keys)
         img = np.zeros((n, self.d), np.int64)

@@ -4,6 +4,7 @@ import inspect
 import pytest
 
 from beauville import identities
+from beauville.cli import main
 
 BUILDERS = {
     "lineardim3": ("lineardim3_matrices",),
@@ -83,3 +84,21 @@ def test_planted_charpoly_error_fails_every_draw(monkeypatch, lemma, q, name):
     monkeypatch.setattr(identities, name, planted)
     assert suite(q, 20, 1) == 20
 
+
+@pytest.mark.parametrize("argv,message", [
+    (["--lemma", "all", "--trials", "-3"], "trials must be at least 1, got -3"),
+    (["--lemma", "all", "--trials", "0"], "trials must be at least 1, got 0"),
+    (["--lemma", "sp42", "--qmax", "3"], "qmax must be in 4..25 for sp42, got 3"),
+    (["--lemma", "all", "--qmax", "30"], "qmax must be in 4..25 for all, got 30"),
+], ids=["negative-trials", "zero-trials", "sp42-below-range", "qmax-above-table"])
+def test_cli_refuses_runs_that_check_nothing(capsys, argv, message):
+    assert main(["identities"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_cli_runs_the_least_qmax_of_a_suite(capsys):
+    assert main(["identities", "--lemma", "u3", "--qmax", "3", "--trials", "5"]) == 0
+    assert capsys.readouterr().out == "u3 q=3: 5 draws, ok\n"
+    with pytest.raises(ValueError):
+        identities.run_identity_suite("u3", qmax=3, trials=0)

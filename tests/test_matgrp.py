@@ -4,11 +4,13 @@ import itertools
 import pytest
 
 from beauville.ffield import get_field
+from beauville import identities
 from beauville.identities import _mismatches
 from beauville.matgrp import (
     BadField,
     FormSpec,
     GroupSpec,
+    MatrixStack,
     SquareMatrix,
     UnsupportedFamily,
     antidiagonal_form,
@@ -240,10 +242,10 @@ def test_omega_minus_generators_fix_no_vector():
 
 
 # ---------------------------------------------------------------------------
-# table kernels against reference kernels kept here: products, determinants
-# and Frobenius through the field's methods (checked against digit loops and
-# polynomial products in test_ffield), and the column-subset charpoly the
-# Hessenberg recurrence replaced
+# table kernels, scalar and stacked, against reference kernels kept here:
+# products, determinants and Frobenius through the field's methods (checked
+# against digit loops and polynomial products in test_ffield), and the
+# column-subset charpoly the Hessenberg recurrence replaced
 
 SUITE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
 KERNEL_FIELDS = sorted({(p, a * k) for q in SUITE_QS for p, a in factorize(q).factors
@@ -380,6 +382,14 @@ def test_kernels_match_reference(p, a):
             for k in range(a + 1):
                 assert M.conjugate_entries(k).rows == tuple(
                     tuple(_ref_power(F, v, p ** k) for v in row) for row in A)
+        # the pool as one stack, times itself and times itself reversed
+        S, R = MatrixStack(pool), MatrixStack(pool[::-1])
+        assert S.codes.shape == (len(pool), d, d) and S.d == d
+        for M, cp in zip(pool, S.charpolys().tolist()):
+            assert tuple(cp) == _ref_charpoly(F, M.rows), (F, M.rows)
+        for other, stack in ((pool, S), (pool[::-1], R)):
+            for M, B, prod in zip(pool, other, (S * stack).codes.tolist()):
+                assert tuple(map(tuple, prod)) == _ref_mul(F, M.rows, B.rows)
 
 
 def _ref_preserves(form, g):
@@ -421,8 +431,11 @@ def test_preserves_matches_reference(p, a):
             for J, isometries in ((form, members), (dense, [P * g * Pinv for g in members])):
                 for g in isometries:
                     assert J.preserves(g) and _ref_preserves(J, g)
-                for g in _kernel_pool(F, d, rs):
-                    assert J.preserves(g) == _ref_preserves(J, g)
+                assert J.preserves_each(MatrixStack(isometries)).all()
+                pool = _kernel_pool(F, d, rs)
+                verdicts = [_ref_preserves(J, g) for g in pool]
+                assert [J.preserves(g) for g in pool] == verdicts
+                assert J.preserves_each(MatrixStack(pool)).tolist() == verdicts
 
 
 def test_preserves_refuses_foreign_matrices():
@@ -433,6 +446,30 @@ def test_preserves_refuses_foreign_matrices():
     for d in (3, 5):  # a bare zip would check only the top-left block of d = 5
         with pytest.raises(ValueError):
             form.preserves(SquareMatrix.identity(F, d))
+
+
+def test_stacks_refuse_foreign_matrices():
+    F, G = get_field(5, 2), get_field(5)
+    form = antidiagonal_form(F, 4, "hermitian")
+    S4 = MatrixStack([SquareMatrix.identity(F, 4)] * 2)
+    # a larger matrix after a smaller one would fill the stack unchecked
+    for matrices in ([], [SquareMatrix.identity(F, 4), SquareMatrix.identity(G, 4)],
+                     [SquareMatrix.identity(F, 3), SquareMatrix.identity(F, 4)]):
+        with pytest.raises(ValueError):
+            MatrixStack(matrices)
+    with pytest.raises(ValueError):
+        form.preserves_each(MatrixStack([SquareMatrix.identity(G, 4)]))
+    for d in (3, 5):
+        other = MatrixStack([SquareMatrix.identity(F, d)] * 2)
+        with pytest.raises(ValueError):
+            form.preserves_each(other)
+        with pytest.raises(ValueError):
+            S4 * other
+    for other in (MatrixStack([SquareMatrix.identity(G, 4)] * 2),
+                  MatrixStack([SquareMatrix.identity(F, 4)] * 3)):
+        with pytest.raises(ValueError):
+            S4 * other
+    assert form.preserves_each(S4).tolist() == [True, True]
 
 
 def test_preserves_builds_no_matrices(monkeypatch):
@@ -469,6 +506,34 @@ def test_mismatches_counts_form_failures():
 
     assert _mismatches(7, draw, form) == 7 and len(draws) == 7
     assert _mismatches(7, draw) == 0 and len(draws) == 14
+
+
+@pytest.mark.parametrize("limit", [1000, 3])
+def test_mismatches_counts_each_failing_draw(monkeypatch, limit):
+    # seven draws: one fails only the x form check, one only the y form
+    # check, one only the charpoly; a stack limit of 3 splits them 3 + 3 + 1
+    monkeypatch.setattr(identities, "_STACK_LIMIT", limit)
+    F = get_field(5, 2)
+    form = antidiagonal_form(F, 4, "hermitian")
+    gens = standard_generators(GroupSpec("SU", 4, 5))
+    skew = SquareMatrix(F, [[2 if i == j == 0 else int(i == j) for j in range(4)]
+                            for i in range(4)])
+    assert not form.preserves(skew) and all(form.preserves(g) for g in gens[:3])
+    pairs = [(gens[0], gens[1]), (skew, gens[1]), (gens[1], gens[2]), (gens[2], skew),
+             (gens[0], gens[2]), (gens[2], gens[0]), (gens[1], gens[0])]
+    wrong = list(charpoly(gens[0] * gens[2]))
+    wrong[1] = F.add_code(wrong[1], 1)
+    drawn = []
+
+    def draw():
+        x, y = pairs[len(drawn)]
+        drawn.append(1)
+        printed = tuple(wrong) if len(drawn) == 5 else charpoly(x * y)
+        return x, y, printed
+
+    assert _mismatches(7, draw, form) == 3 and len(drawn) == 7
+    del drawn[:]
+    assert _mismatches(7, draw) == 1 and len(drawn) == 7
 
 
 def test_square_matrix_checks_shape_and_codes():
