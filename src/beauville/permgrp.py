@@ -420,7 +420,7 @@ class PointAction:
     whose first nonzero coordinate is 1.  Its key sum_k v_k q^(d-1-k) is
     therefore increasing in i, and an image's index is a binary search on
     its key.  permutation() maps all points at once with the context's
-    numpy tables (matgrp.field_arrays).
+    numpy tables (matgrp.field_arrays), summing as FieldArrays.dot does.
     """
 
     def __init__(self, ctx: FieldCtx, d: int, kind: str):
@@ -450,14 +450,15 @@ class PointAction:
         if M.ctx is not self.ctx or M.d != self.d:
             raise ValueError("matrix does not act on these points")
         t = self._tables
-        exp, log, spread, fold = t.exp, t.log, t.spread, t.fold
+        exp, log = t.exp, t.log
         logs = self._point_logs
         n = len(self.keys)
-        img = np.zeros((n, self.d), np.int64)
+        acc = np.zeros((n, self.d), np.int64)
         for k, row in enumerate(M.rows):
             for j, b in enumerate(row):
                 if b:
-                    img[:, j] = fold[spread[img[:, j]] + spread[exp[logs[:, k] + log[b]]]]
+                    acc[:, j] = t.fold_spread[acc[:, j] + t.exp_spread[logs[:, k] + log[b]]]
+        img = t.fold[acc]
         if self.kind == "projective":
             lead = img[np.arange(n), (img != 0).argmax(axis=1)]
             if not lead.all():
