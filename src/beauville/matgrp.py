@@ -5,16 +5,13 @@ matching the permutation convention in permgrp.  Characteristic polynomials
 are returned monic as det(wI - M); the printed coefficient formulas from
 the small-rank constructions are normalized the same way before comparing.
 
-Two sets of kernels read the field tables.  The scalar ones (the product,
-elimination, `charpoly`, `FormSpec.preserves`) take one SquareMatrix in
-pure Python.  The stack ones (`MatrixStack` products and `charpolys`,
-`FormSpec.preserves_each`) take n matrices of one dimension as an
-(n, d, d) code array and run numpy gathers over all n at once; the
-identity suites check their draws with them.  The scalar kernels stay for
-the callers that hold one matrix at a time and stop early, the triple
-solvers and the realization bounds: on 4 x 4 matrices a stack of one is
-about 9x slower per charpoly and 3x per form check, and the 36 pinned
-triple solves take 1.8x and 1.3x as long with it (BENCH_18.json).
+The matrix kernels read the field tables.  The product, elimination and
+powers take one SquareMatrix in pure Python; the order descent needs them.
+The characteristic polynomial and the form check run on stacks:
+`MatrixStack` holds n matrices of one dimension as an (n, d, d) code array,
+and its products, Berkowitz `charpolys` and `FormSpec.preserves_each` are
+numpy gathers over all n at once.  `charpoly` and `FormSpec.preserves` are
+those kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,10 +68,9 @@ def binary_power(x, e: int, one):
 class SquareMatrix:
     """Immutable d x d matrix over a FieldCtx, entries stored as codes.
 
-    The kernels (products, elimination, Frobenius, charpoly, the form
-    check) read the context's exp/log, spread/fold and neg tables
-    directly; every context has them (see ffield).  Results built here
-    skip the row checks of __init__.
+    The kernels (products, elimination, Frobenius) read the context's
+    exp/log, spread/fold and neg tables directly; every context has them
+    (see ffield).  Results built here skip the row checks of __init__.
     """
 
     __slots__ = ("ctx", "d", "rows")
@@ -109,6 +104,9 @@ class SquareMatrix:
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.ctx is not other.ctx:
             raise ValueError("mixed field contexts")
+        if self.d != other.d:
+            raise ValueError(f"cannot multiply a {self.d} x {self.d} and a "
+                             f"{other.d} x {other.d} matrix")
         ctx = self.ctx
         exp, log, spread, fold = ctx.exp, ctx.log, ctx.spread, ctx.fold
         # the nonzero (k, log b_kj) of each column of other, listed once
@@ -185,60 +183,9 @@ class SquareMatrix:
 
 
 def charpoly(M: SquareMatrix) -> Tuple[int, ...]:
-    """Monic characteristic polynomial det(wI - M), coefficient codes low first.
-
-    Hessenberg reduction followed by the Hessenberg recurrence (H. Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 2.2.9): O(d^3)
-    field operations, exact over any field.  The reduction is a chain of
-    similarities clearing column m - 1 below the subdiagonal: row i minus
-    u times row m, then column m plus u times column i.  When the pivot
-    h_{m,m-1} is zero, rows and columns m and i are first swapped for the
-    first i below it with h_{i,m-1} nonzero.
-    """
-    ctx, d = M.ctx, M.d
-    exp, log, spread, fold, neg = ctx.exp, ctx.log, ctx.spread, ctx.fold, ctx.neg
-    m1 = ctx.q - 1
-    H = [list(r) for r in M.rows]
-    for m in range(1, d - 1):
-        pivot = next((i for i in range(m, d) if H[i][m - 1]), None)
-        if pivot is None:
-            continue
-        if pivot != m:
-            H[m], H[pivot] = H[pivot], H[m]
-            for row in H:
-                row[m], row[pivot] = row[pivot], row[m]
-        row_m = H[m]
-        linv = m1 - log[row_m[m - 1]]
-        for i in range(m + 1, d):
-            h = H[i][m - 1]
-            if not h:
-                continue
-            lu = (log[h] + linv) % m1  # u = h / pivot; reduced, see ffield
-            lnu = log[neg[exp[lu]]]
-            H[i] = [fold[spread[v] + spread[exp[lnu + log[w]]]] for v, w in zip(H[i], row_m)]
-            for row in H:
-                row[m] = fold[spread[row[m]] + spread[exp[lu + log[row[i]]]]]
-    # p_m = (w - h_mm) p_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} p_{i-1}
-    polys = [[1]]
-    for m in range(d):
-        prev = polys[m]
-        lc = log[neg[H[m][m]]]
-        new = [0] + prev
-        for k, v in enumerate(prev):
-            new[k] = fold[spread[new[k]] + spread[exp[lc + log[v]]]]
-        lprod = 0
-        for i in range(m - 1, -1, -1):
-            sub = H[i + 1][i]
-            if not sub:
-                break
-            lprod += log[sub]
-            h = H[i][m]
-            if h:
-                lc = (log[neg[h]] + lprod) % m1
-                for k, v in enumerate(polys[i]):
-                    new[k] = fold[spread[new[k]] + spread[exp[lc + log[v]]]]
-        polys.append(new)
-    return tuple(polys[d])
+    """Monic characteristic polynomial det(wI - M), coefficient codes low
+    first: MatrixStack.charpolys on a stack of one."""
+    return tuple(MatrixStack([M]).charpolys()[0].tolist())
 
 
 def order_of_matrix(M: SquareMatrix, exponent_multiple: Factorization) -> int:
@@ -392,55 +339,15 @@ class FormSpec:
         else:
             raise ValueError(f"unknown form kind {self.kind!r}")
 
-    @cached_property
-    def _gram_terms(self) -> Tuple[Tuple[int, int, int], ...]:
-        """(k, l, log J_kl) for the nonzero Gram entries, row-major."""
-        log = self.gram.ctx.log
-        return tuple((k, l, log[v]) for k, row in enumerate(self.gram.rows)
-                     for l, v in enumerate(row) if v)
-
     def preserves(self, g: SquareMatrix) -> bool:
-        """g J sigma(g)^T == J, sigma the q-power map for hermitian forms.
-
-        Entry (i, j) is the sum of g_ik J_kl sigma(g)_jl over the nonzero
-        Gram entries (k, l), read off the exp/log and spread/fold tables and
-        compared with J_ij as soon as it is formed.  exp takes a sum of two
-        reduced logs only, so log g_ik + log J_kl is reduced mod q - 1 before
-        log sigma(g)_jl (possibly the zero sentinel) is added; zero g_ik are
-        skipped, since the reduction would lose their sentinel.
-        """
-        J = self.gram
-        ctx = J.ctx
-        if g.ctx is not ctx:
-            raise ValueError("mixed field contexts")
-        if g.d != J.d:
-            raise ValueError(f"a {g.d} x {g.d} matrix cannot preserve a "
-                             f"{J.d}-dimensional form")
-        exp, log, spread, fold = ctx.exp, ctx.log, ctx.spread, ctx.fold
-        m = ctx.q - 1
-        zero = 2 * m  # log's zero sentinel
-        logs = [[log[v] for v in row] for row in g.rows]
-        if self.kind == "hermitian":
-            pk = ctx.p ** (ctx.a // 2)
-            slogs = [[lv * pk % m if lv != zero else zero for lv in row] for row in logs]
-        else:
-            slogs = logs
-        terms = self._gram_terms
-        for row, lrow in zip(J.rows, logs):
-            # (l, log g_ik J_kl) for this row's nonzero g_ik
-            row_terms = [(l, (lrow[k] + lj) % m) for k, l, lj in terms if lrow[k] != zero]
-            for want, srow in zip(row, slogs):
-                acc = 0
-                for l, lt in row_terms:
-                    acc = fold[spread[acc] + spread[exp[lt + srow[l]]]]
-                if acc != want:
-                    return False
-        return True
+        """preserves_each on a stack of one."""
+        return bool(self.preserves_each(MatrixStack([g]))[0])
 
     def preserves_each(self, stack: MatrixStack) -> np.ndarray:
-        """preserves() for every matrix of a stack, as a bool array: g J and
-        then (g J) sigma(g)^T on the stack kernels, compared with J in
-        every entry.  sigma keeps zero at zero, as in preserves()."""
+        """g J sigma(g)^T == J for every g of a stack, sigma the q-power map
+        for hermitian forms, as a bool array: g J and then (g J) sigma(g)^T
+        on the stack kernels, compared with J in every entry.  sigma keeps
+        zero at zero: log's zero sentinel is put back after the reduction."""
         J = self.gram
         ctx = J.ctx
         if stack.ctx is not ctx:
@@ -799,7 +706,8 @@ def standard_generators(spec: GroupSpec) -> Tuple[SquareMatrix, ...]:
 #
 # Each construction returns matrices built exactly from the printed entries,
 # solves the free parameters against a target characteristic polynomial and
-# asserts the coefficient identity plus form membership.  The matrix builders
+# asserts the coefficient identity plus form membership on the pair it
+# returns; its search filters on the order of x*y only.  The matrix builders
 # and the *_charpoly helpers take a context and element codes (in
 # range(ctx.q)) and work on codes throughout: entries and coefficients come
 # from the context's tables, and the matrices skip the row checks.  The
@@ -871,7 +779,8 @@ def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]
             continue
         x, y = lineardim3_matrices(ctx, a, b)
         xy = x * y
-        assert charpoly(xy) == lineardim3_charpoly(ctx, a, b) == charpoly(z)
+        cp_xy, cp_z = map(tuple, MatrixStack([xy, z]).charpolys().tolist())
+        assert cp_xy == lineardim3_charpoly(ctx, a, b) == cp_z
         assert x.det() == 1 and y.det() == 1
         assert order_of_matrix(xy, exponent) == wanted
         return x, y, xy
@@ -918,28 +827,25 @@ def u41_charpoly(ctx: FieldCtx, e: int, b: int, c: int) -> Tuple[int, ...]:
     return _monic(ctx, coeffs)
 
 
-def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
-    """The SU_4(q) pair of the four-dimensional unitary construction, q > 2.
+# a candidate of a (t, f) search: the target charpoly of x*y, x, y and the
+# parameters of the printed charpoly
+_Candidate = Tuple[Tuple[int, ...], SquareMatrix, SquareMatrix, Tuple[int, ...]]
 
-    Solves b, c against target quartics w^4 + t w^3 + f w^2 + t^q w + 1 in
-    deterministic (t, f) order until the product reaches the Zsigmondy
-    order lambda_{4h,p} (q = p^h), asserting c != 0, form membership and
-    the printed coefficient identity along the way.
-    """
-    if q <= 2:
-        raise BadField("construction needs q > 2")
+
+def _u41_candidates(q: int) -> Iterator[_Candidate]:
+    """The candidates of u41_triple in its (t, f) order, t in GF(q^2) and f
+    in GF(q), for every (t, f) with c != 0: b and c are solved so that
+    charpoly(x*y) is the target w^4 + t w^3 + f w^2 + t^q w + 1, and the
+    parameters are (e, b, c)."""
     p, h = factorize(q).factors[0]
     ctx = get_field(p, 2 * h)
-    form = antidiagonal_form(ctx, 4, "hermitian")
     e = trace_zero_sample(ctx)
-    target_order = lambda_value(4 * h, p)
-    zeta = factorize(target_order).primes[0]
     sub = get_field_of_order(q)
     emb = embed_subfield(sub, ctx)
-    mul, add, neg, pw = ctx.mul_code, ctx.add_code, ctx.neg, ctx.pow_code
-    neg_inv_e = neg[ctx.inv_code(e)]
+    mul, add = ctx.mul_code, ctx.add_code
+    neg_inv_e = ctx.neg[ctx.inv_code(e)]
     for t in ctx.elements():
-        tq = pw(t, q)
+        tq = ctx.pow_code(t, q)
         for f_sub in sub.elements():
             f = emb[f_sub]
             c = mul(add(add(add(f, t), tq), 2 % p), neg_inv_e)
@@ -950,18 +856,34 @@ def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
             b = mul(add(add(add(mul(3 % p, tq), mul(2 % p, t)), mul(2 % p, f)), 8 % p),
                     neg_inv_e)
             x, y = u41_matrices(ctx, e, b, c)
-            if not (form.preserves(x) and form.preserves(y)):
-                continue
-            xy = x * y
-            if charpoly(xy) != (1, tq, f, t, 1):
-                continue
-            if not (xy ** target_order).is_identity():
-                continue
-            if target_order > 1 and (xy ** (target_order // zeta)).is_identity():
-                continue
-            assert charpoly(xy) == u41_charpoly(ctx, e, b, c)
-            assert add(pw(e, q), e) == 0 and add(pw(c, q), c) == 0
-            return x, y, xy
+            yield (1, tq, f, t, 1), x, y, (e, b, c)
+
+
+def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
+    """The SU_4(q) pair of the four-dimensional unitary construction, q > 2.
+
+    Takes the first candidate of _u41_candidates whose product reaches the
+    Zsigmondy order lambda_{4h,p} (q = p^h), then asserts on it form
+    membership, the target charpoly, the printed coefficient identity and
+    that e and c have trace zero.
+    """
+    if q <= 2:
+        raise BadField("construction needs q > 2")
+    p, h = factorize(q).factors[0]
+    target_order = lambda_value(4 * h, p)
+    zeta = factorize(target_order).primes[0]
+    for target, x, y, (e, b, c) in _u41_candidates(q):
+        xy = x * y
+        if not (xy ** target_order).is_identity():
+            continue
+        if target_order > 1 and (xy ** (target_order // zeta)).is_identity():
+            continue
+        ctx = xy.ctx
+        add, pw = ctx.add_code, ctx.pow_code
+        assert antidiagonal_form(ctx, 4, "hermitian").preserves_each(MatrixStack([x, y])).all()
+        assert charpoly(xy) == target == u41_charpoly(ctx, e, b, c)
+        assert add(pw(e, q), e) == 0 and add(pw(c, q), c) == 0
+        return x, y, xy
     raise BadField(f"no admissible (t, f) found for SU_4({q})")
 
 
@@ -1003,10 +925,11 @@ def u3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     assert a != 0
     assert add(s, mul(a, pw(a, q))) == 0
     x, y = u3_matrices(ctx, e, a, b)
-    assert form.preserves(x) and form.preserves(y)
+    assert form.preserves_each(MatrixStack([x, y])).all()
     xy = x * y
     z = SquareMatrix(ctx, [[lam, 0, 0], [0, lam1, 0], [0, 0, lam2]])
-    assert charpoly(xy) == u3_charpoly(ctx, e, a, b) == charpoly(z)
+    cp_xy, cp_z = map(tuple, MatrixStack([xy, z]).charpolys().tolist())
+    assert cp_xy == u3_charpoly(ctx, e, a, b) == cp_z
     assert order_of_matrix(xy, factorize(q * q - 1)) == q * q - 1
     return x, y, xy
 
@@ -1052,21 +975,18 @@ def sp42_charpoly_even(ctx: FieldCtx, a: int, b: int, lam: int) -> Tuple[int, ..
     return _monic(ctx, [1, b, mul(mul(a, a), ctx.add_code(mul(b, lam), 1)), b, 1])
 
 
-def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
-    """The Sp_4(q) pair: unipotent/transvection for odd q > 3, the order-4
-    pair for even q >= 4; product order (q^2+1)/gcd(2,q-1)."""
+def _sp42_candidates(q: int) -> Iterator[_Candidate]:
+    """The candidates of sp42_triple in its (t, f) order, the parameters
+    solved so that charpoly(x*y) is the palindromic target
+    w^4 + t w^3 + f w^2 + t w + 1.  Even q: (a, b, lam) for every nonzero t
+    and f.  Odd q: (a, b) for every (t, f), leaving out b = 0 at p = 3."""
     ctx = get_field_of_order(q)
     p = ctx.p
     mul, add, neg = ctx.mul_code, ctx.add_code, ctx.neg
-    form = antidiagonal_form(ctx, 4, "symplectic")
     if p == 2:
-        if q < 4:
-            raise BadField("even branch needs q >= 4")
-        target_order = q * q + 1
         squares = {add(mul(beta, beta), beta) for beta in ctx.elements()}
         lams = [el for el in ctx.elements() if el not in squares]
         assert len(lams) >= 2, "fewer than two twist choices"
-        fac = factorize(target_order)
         for t in ctx.elements():
             if not t:
                 continue
@@ -1078,40 +998,46 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
                 # the square root in characteristic 2 is the q/2-power map
                 a = ctx.pow_code(mul(f, ctx.inv_code(add(mul(b, lam), 1))), q // 2)
                 x, y = sp42_matrices_even(ctx, a, b, lam)
-                xy = x * y
-                if charpoly(xy) != (1, t, f, t, 1):
-                    continue
-                if not (xy ** target_order).is_identity():
-                    continue
-                if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
-                    continue
-                assert form.preserves(x) and form.preserves(y)
-                assert charpoly(xy) == sp42_charpoly_even(ctx, a, b, lam)
-                assert order_of_matrix(x, factorize(8)) == 4
-                assert order_of_matrix(y, factorize(8)) == 4
-                return x, y, xy
-        raise BadField(f"no admissible (t, f) found for Sp_4({q})")
-    if q <= 3:
-        raise BadField("odd branch needs q > 3")
-    target_order = (q * q + 1) // 2
-    fac = factorize(target_order)
+                yield (1, t, f, t, 1), x, y, (a, b, lam)
+        return
     for t in ctx.elements():
-        # palindromic target w^4 + t w^3 + f w^2 + t w + 1; the printed
-        # w^3 coefficient is -(4+a), so a = -4 - t
+        # the printed w^3 coefficient is -(4+a), so a = -4 - t
         a = neg[add(4 % p, t)]
         for f in ctx.elements():
             b = add(f, neg[add(6 % p, mul(2 % p, a))])
             if not b and p == 3:
                 continue  # keep o(x) = 9 at p = 3
             x, y = sp42_matrices_odd(ctx, a, b)
-            xy = x * y
-            if charpoly(xy) != (1, t, f, t, 1):
-                continue
-            if not (xy ** target_order).is_identity():
-                continue
-            if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
-                continue
-            assert form.preserves(x) and form.preserves(y)
-            assert charpoly(xy) == sp42_charpoly_odd(ctx, a, b)
-            return x, y, xy
+            yield (1, t, f, t, 1), x, y, (a, b)
+
+
+def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
+    """The Sp_4(q) pair: unipotent/transvection for odd q > 3, the order-4
+    pair for even q >= 4; product order (q^2+1)/gcd(2,q-1).
+
+    Takes the first candidate of _sp42_candidates whose product has that
+    order, then asserts on it form membership, the target charpoly and the
+    printed coefficient identity.
+    """
+    even = get_field_of_order(q).p == 2
+    if even and q < 4:
+        raise BadField("even branch needs q >= 4")
+    if not even and q <= 3:
+        raise BadField("odd branch needs q > 3")
+    target_order = (q * q + 1) // (1 if even else 2)
+    fac = factorize(target_order)
+    for target, x, y, params in _sp42_candidates(q):
+        xy = x * y
+        if not (xy ** target_order).is_identity():
+            continue
+        if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
+            continue
+        ctx = xy.ctx
+        printed = (sp42_charpoly_even if even else sp42_charpoly_odd)(ctx, *params)
+        assert antidiagonal_form(ctx, 4, "symplectic").preserves_each(MatrixStack([x, y])).all()
+        assert charpoly(xy) == target == printed
+        if even:
+            assert order_of_matrix(x, factorize(8)) == 4
+            assert order_of_matrix(y, factorize(8)) == 4
+        return x, y, xy
     raise BadField(f"no admissible (t, f) found for Sp_4({q})")

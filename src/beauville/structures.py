@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Tuple, Union
 from .numtheory import Factorization, factorize
 from .matgrp import (
     GroupSpec,
+    MatrixStack,
     SquareMatrix,
     antidiagonal_form,
     classical_order,
@@ -186,8 +187,9 @@ def _scalar_subgroup_order(spec: GroupSpec, ctx, d: int) -> int:
 def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[int]:
     """|G| for the SL, Sp or SU group G of spec when every generator is
     proven to lie in G, else None.  The proof is determinant 1, and for Sp
-    and SU that the generator preserves the antidiagonal form (symplectic
-    or hermitian) on which the standard generators are built."""
+    and SU that the generators preserve the antidiagonal form (symplectic
+    or hermitian) on which the standard generators are built, checked as
+    one stack."""
     kinds = {"SL": None, "Sp": "symplectic", "SU": "hermitian"}
     if spec.family not in kinds:
         return None
@@ -196,10 +198,10 @@ def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[
     if ctx.q != field_order or any(g.d != spec.d for g in gens):
         return None
     kind = kinds[spec.family]
-    form = antidiagonal_form(ctx, spec.d, kind) if kind else None
-    for g in gens:
-        if g.det() != 1 or (form is not None and not form.preserves(g)):
-            return None
+    if any(g.det() != 1 for g in gens):
+        return None
+    if kind and not antidiagonal_form(ctx, spec.d, kind).preserves_each(MatrixStack(gens)).all():
+        return None
     return classical_order(spec).value
 
 

@@ -1,10 +1,11 @@
+import collections
 import hashlib
 import itertools
 
 import pytest
 
 from beauville.ffield import get_field
-from beauville import identities
+from beauville import identities, matgrp
 from beauville.identities import _mismatches
 from beauville.matgrp import (
     BadField,
@@ -13,6 +14,8 @@ from beauville.matgrp import (
     MatrixStack,
     SquareMatrix,
     UnsupportedFamily,
+    _sp42_candidates,
+    _u41_candidates,
     antidiagonal_form,
     charpoly,
     classical_order,
@@ -242,10 +245,10 @@ def test_omega_minus_generators_fix_no_vector():
 
 
 # ---------------------------------------------------------------------------
-# table kernels, scalar and stacked, against reference kernels kept here:
-# products, determinants and Frobenius through the field's methods (checked
-# against digit loops and polynomial products in test_ffield), and the
-# column-subset charpoly the Hessenberg recurrence replaced
+# table kernels, on one matrix and stacked, against reference kernels kept
+# here: products, determinants and Frobenius through the field's methods
+# (checked against digit loops and polynomial products in test_ffield), and
+# a column-subset charpoly
 
 SUITE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
 KERNEL_FIELDS = sorted({(p, a * k) for q in SUITE_QS for p, a in factorize(q).factors
@@ -318,7 +321,7 @@ def _ref_power(F, x, e):
 
 def _kernel_pool(F, d, rs):
     """Zero, identity, singular, nilpotent, triangular with zero subdiagonal,
-    permutation and monomial (Hessenberg pivot swaps), sparse and dense."""
+    permutation and monomial, sparse and dense."""
     q = F.q
 
     def rand(nonzero=False):
@@ -544,6 +547,9 @@ def test_square_matrix_checks_shape_and_codes():
         SquareMatrix(F, [[0, -1], [1, 0]])
     with pytest.raises(ValueError):
         SquareMatrix(F, [[0, 1], [1]])
+    for a, b in ((4, 3), (3, 4)):
+        with pytest.raises(ValueError):
+            SquareMatrix.identity(F, a) * SquareMatrix.identity(F, b)
 
 
 # Every matrix of the explicit triples and of the standard generating sets,
@@ -575,3 +581,50 @@ def test_standard_generators_are_pinned():
         gens = standard_generators(spec)
         digest.update(repr((spec.family, spec.d, spec.q, [M.rows for M in gens])).encode())
     assert digest.hexdigest() == "5c3bb3eefc760faf639f84c5e271b24245c0a2e5968757c5fc704fefcf3e875c"
+
+
+@pytest.mark.parametrize("candidates, kind, qs, count", [
+    (_u41_candidates, "hermitian", (3, 4, 5), lambda q: q ** 3 - q ** 2),
+    (_sp42_candidates, "symplectic", (4, 5, 7, 8, 9),
+     lambda q: (q - 1) ** 2 if q % 2 == 0 else q * q - (q if q % 3 == 0 else 0)),
+], ids=["u41", "sp42"])
+def test_every_candidate_meets_its_target(candidates, kind, qs, count):
+    # the solvers check form membership and the target charpoly on the pair
+    # they return only: the parameters are solved so that both hold for
+    # every (t, f) candidate, not only for those the search passes over
+    for q in qs:
+        targets, xs, ys, _ = zip(*candidates(q))
+        X, Y = MatrixStack(xs), MatrixStack(ys)
+        ctx = X.ctx
+        # every (t, f) once, but those whose solve fails: c = 0 for u41
+        # (one f per t), t = 0 or f = 0 for even sp42, b = 0 at p = 3
+        assert len(set(targets)) == len(targets) == count(q)
+        for one, t_low, f, t, lead in targets:
+            assert one == lead == 1 and ctx.pow_code(f, q) == f
+            assert t_low == (ctx.pow_code(t, q) if kind == "hermitian" else t)
+        form = antidiagonal_form(ctx, 4, kind)
+        assert form.preserves_each(X).all() and form.preserves_each(Y).all()
+        assert [tuple(cp) for cp in (X * Y).charpolys().tolist()] == list(targets)
+
+
+def test_triple_solvers_check_the_returned_pair_only(monkeypatch):
+    # the (t, f) searches filter on the order of x*y; each kernel that checks
+    # the form or a charpoly runs at most twice per solve, however many
+    # candidates the search passes over
+    calls = collections.Counter()
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(matgrp, "charpoly", counted("charpoly", matgrp.charpoly))
+    for cls, name in ((FormSpec, "preserves"), (FormSpec, "preserves_each"),
+                      (MatrixStack, "charpolys")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    for fn, qs in PINNED_TRIPLES:
+        for q in qs:
+            calls.clear()
+            fn(q)
+            assert max(calls.values()) <= 2, (fn.__name__, q, dict(calls))
