@@ -23,6 +23,7 @@ never a failure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -177,6 +178,8 @@ def _parse_recipe(text: str, line: int, col: int) -> TripleRecipe:
             raise CatalogParseError(line, col, str(exc)) from None
         if len(lmn) != 3:
             raise CatalogParseError(line, col, "need three orders")
+        if min(lmn) < 2:
+            raise CatalogParseError(line, col, "orders must be at least 2")
         return TripleRecipe("search", type_lmn=lmn, seed=seed)
     if pieces[0] == "words":
         if len(pieces) != 3:
@@ -252,28 +255,35 @@ _CONSTRUCTIONS = {
 }
 
 
-def _alt_generators(n: int) -> List[Permutation]:
-    three = Permutation.from_cycles(n, [(1, 2, 3)])
-    if n % 2:
-        big = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
-    else:
-        big = Permutation.from_cycles(n, [tuple(range(2, n + 1))])
-    return [three, big]
+def _alt(n: int) -> GroupHandle:
+    """Alt(n) on (1, 2, 3) and an n-cycle (n odd) or an (n-1)-cycle (n
+    even): both are even, so alt_bsgs stops its build at n!/2."""
+    gens = [Permutation.from_cycles(n, [(1, 2, 3)]),
+            Permutation.from_cycles(n, [tuple(range(2 - n % 2, n + 1))])]
+    return GroupHandle(f"Alt_{n}", gens, math.factorial(n) // 2, alt_bsgs(gens))
 
 
-# the integer fields of each builtin family's source, in order
-_BUILTIN_FIELDS = {
-    "Sz": ("q",),
-    "OmegaMinus": ("d", "q"),
-    "Alt": ("n",),
-    **{fam: ("d", "q") for fam in ("SL", "Sp", "SU", "PSL", "PSp", "PSU")},
+def _classical(family: str, quotient: bool, d: int, q: int) -> GroupHandle:
+    return GroupHandle.from_matrix_spec(GroupSpec(family, d, q), quotient=quotient)
+
+
+# each builtin family: the integer fields of its source, in order, and the
+# builder that realizes the group from them
+_BUILTINS = {
+    "Sz": (("q",), lambda q: GroupHandle.from_matrix_spec(suzuki_generators(q))),
+    "OmegaMinus": (("d", "q"), lambda d, q: GroupHandle.from_matrix_spec(
+        omega_minus_char2_generators(d, q))),
+    "Alt": (("n",), _alt),
+    **{("P" if quotient else "") + fam:
+       (("d", "q"), functools.partial(_classical, fam, quotient))
+       for fam in ("SL", "Sp", "SU") for quotient in (False, True)},
 }
 
 
 def _builtin_args(source: str, fam: str, values: List[str]) -> Dict[str, int]:
     """The checked integer fields of a builtin source: the family's arity,
     d >= 2 (even for Sp), n >= 3 and a prime-power q."""
-    names = _BUILTIN_FIELDS[fam]
+    names = _BUILTINS[fam][0]
     if len(values) != len(names) or not all(v.isdigit() for v in values):
         usage = ":".join(["builtin", fam] + [f"<{n}>" for n in names])
         raise CatalogDataError(f"source {source!r}: expected {usage}")
@@ -297,50 +307,45 @@ def realize_source(source: str, base_dir: str,
     parts = source.split(":")
     if parts[0] == "builtin":
         fam = parts[1] if len(parts) > 1 else ""
-        if fam not in _BUILTIN_FIELDS:
+        if fam not in _BUILTINS:
             raise CatalogDataError(f"unknown builtin family {fam!r}")
         args = _builtin_args(source, fam, parts[2:])
         try:
-            if fam == "Sz":
-                return GroupHandle.from_matrix_spec(suzuki_generators(args["q"]))
-            if fam == "OmegaMinus":
-                spec = omega_minus_char2_generators(args["d"], args["q"])
-                return GroupHandle.from_matrix_spec(spec)
-            if fam == "Alt":
-                n = args["n"]
-                gens = _alt_generators(n)
-                return GroupHandle.from_permutations(
-                    f"Alt_{n}", gens, math.factorial(n) // 2, alt_bsgs(gens))
-            quotient = fam.startswith("P")
-            spec = GroupSpec(fam[1:] if quotient else fam, args["d"], args["q"])
-            return GroupHandle.from_matrix_spec(spec, quotient=quotient)
+            return _BUILTINS[fam][1](**args)
         except (BadField, TooManyPoints) as exc:
             raise CatalogDataError(f"source {source!r}: {exc}") from None
     if parts[0] == "file":
-        path = os.path.join(base_dir, parts[1])
+        if len(parts) != 2 or not parts[1]:
+            raise CatalogDataError(f"source {source!r}: expected file:<relative path>")
+        name = parts[1]
+        path = os.path.join(base_dir, name)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CatalogDataError(f"{name}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise CatalogDataError(f"{name}: not UTF-8 text (byte {exc.start})") from None
         body = [ln for ln in text.splitlines()
                 if ln.strip() and not ln.lstrip().startswith("#")]
         header = body[0].split()[0] if body else ""
+        if header == "mat" and declared_order is None:
+            raise CatalogDataError(f"{name}: matrix sources need an order line")
         try:
             if header == "perm":
                 gens, _ = parse_perm_file(text)
-                return GroupHandle.from_permutations(
-                    os.path.basename(parts[1]), gens, declared_order)
+                return GroupHandle(os.path.basename(name), gens, declared_order)
             if header == "mat":
                 gens = parse_matrix_file(text)
-                if declared_order is None:
-                    raise CatalogDataError(f"{parts[1]}: matrix sources need an order line")
                 spec = GroupSpec("Ingested", gens[0].d, gens[0].ctx.q,
                                  generators=tuple(gens), declared_order=declared_order,
-                                 name=os.path.basename(parts[1]))
+                                 name=os.path.basename(name))
                 return GroupHandle.from_matrix_spec(spec)
         except (ValueError, AssertionError) as exc:
-            raise CatalogDataError(f"{parts[1]}: {exc}") from exc
-        raise CatalogDataError(f"{parts[1]}: unknown generator file header {header!r}")
+            raise CatalogDataError(f"{name}: {exc}") from exc
+        raise CatalogDataError(f"{name}: unknown generator file header {header!r}")
     raise CatalogDataError(f"unknown source kind {source!r}")
 
 

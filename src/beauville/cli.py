@@ -58,6 +58,9 @@ def cmd_zsigmondy(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.budget < 1:
+        print("error: --budget must be at least 1", file=sys.stderr)
+        return 2
     path = args.file or shipped_catalog_path()
     try:
         entries, base_dir = load_catalog_file(path)
@@ -97,10 +100,13 @@ def cmd_catalog(args) -> int:
 def cmd_search(args) -> int:
     try:
         lmn = tuple(int(v) for v in args.type.split(","))
-        if len(lmn) != 3:
+        if len(lmn) != 3 or min(lmn) < 2:
             raise ValueError
     except ValueError:
-        print("error: --type must be l,m,n", file=sys.stderr)
+        print("error: --type must be l,m,n, each order at least 2", file=sys.stderr)
+        return 2
+    if args.budget < 1:
+        print("error: --budget must be at least 1", file=sys.stderr)
         return 2
     if args.family == "Sz":
         source = f"builtin:Sz:{args.q}"
@@ -131,6 +137,10 @@ def cmd_identities(args) -> int:
 
 
 def cmd_covers(args) -> int:
+    if not 3 <= args.nmax <= 14:
+        print("error: --nmax must be in 3..14, the ranks build_cover supports",
+              file=sys.stderr)
+        return 2
     ns = range(3, args.nmax + 1)
     rows = covers_mod.order3_xsimz_suite(list(ns))
     print("n  o(y)  conjugation identity")

@@ -236,15 +236,12 @@ class Cover:
                  z: CoverElement):
         self.ctx = ctx
         self._gens = tuple(gens)  # 0-indexed: _gens[i-1] lifts (i, i+1)
+        self.t: Dict[int, CoverElement] = {i + 1: g for i, g in enumerate(self._gens)}
         self.z = z
 
     @property
     def n(self) -> int:
         return self.ctx.n
-
-    @property
-    def t(self) -> Dict[int, CoverElement]:
-        return {i + 1: g for i, g in enumerate(self._gens)}
 
     def generators(self) -> Tuple[CoverElement, ...]:
         return self._gens

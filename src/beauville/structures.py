@@ -1,12 +1,13 @@
 """The Beauville predicates: hyperbolic triples, the powers-not-conjugate
 condition, seeded searches and structure constants.
 
-A GroupHandle bundles a realized group: its permutation generators, whose
-BSGS order certifies the expected order, and for matrix realizations the
-point action (vectors or projective points) that carries explicit matrices
-into the same permutation group.  Every element is a Permutation, so all
-element orders are cycle-structure orders; the matrix-level order of an
-injected matrix is only cross-checked against its image.
+A GroupHandle bundles a realized group: its permutation generators and
+their BSGS, built with the handle, whose order certifies the expected
+order, and for matrix realizations the point action (vectors or projective
+points) that carries explicit matrices into the same permutation group.
+Every element is a Permutation, so all element orders are cycle-structure
+orders; the matrix-level order of an injected matrix is only cross-checked
+against its image.
 
 Realizations of SL, Sp and SU and of their central quotients PSL, PSp
 and PSU stop their Schreier-Sims build once its transversal product
@@ -17,8 +18,8 @@ the antidiagonal form that the standard generators are built on), so
 BSGS complete (see permgrp.schreier_sims).  The builtin Alt(n) has even
 generators, so it stops at n!/2 the same way (permgrp.alt_bsgs).  Sz,
 Omega^-, ingested matrix files and permutation files have no such proof
-and build in full.
-Either way the order is compared with |G| for equality.
+and build in full.  Either way GroupHandle compares the BSGS order with
+|G| for equality.
 
 verify_triple certifies generation without a full Schreier-Sims build of
 <x, y>: an orbit comparison that can only reject, membership of x and y in
@@ -65,42 +66,29 @@ DEFAULT_BUDGET = 10 ** 5
 class GroupHandle:
     """A realized permutation group with certified order.
 
-    Matrix realizations also carry the point action and the family and
-    field parameter q of their spec, which the explicit constructions need.
-    The orbit partition and a complete BSGS, which verify_triple uses, are
-    computed on first use and kept; the realization constructors keep the
-    BSGS that certified the order.  For SL, Sp, SU and their quotients that
-    BSGS, and that of the builtin Alt(n), was stopped at |G| after the
-    generators were proven to lie in G, which makes it complete; every
-    other realization builds it in full.
+    The BSGS of perm_gens is built at construction, in full unless a
+    complete one is given, and kept; its order must equal expected_order,
+    when one is given, and becomes the handle's order.  Matrix realizations
+    also carry the point action and the family and field parameter q of
+    their spec, which the explicit constructions need.  The orbit
+    partition, which verify_triple uses, is computed on first use and kept.
     """
 
     def __init__(self, name: str, perm_gens: Sequence[Permutation],
-                 expected_order: int, bsgs: Optional[BSGS] = None):
+                 expected_order: Optional[int] = None, bsgs: Optional[BSGS] = None):
         self.name = name
         self.perm_gens = list(perm_gens)
-        self.expected_order = expected_order
-        if bsgs is not None:
-            self.bsgs = bsgs  # fills the cached property
+        self.bsgs = bsgs if bsgs is not None else schreier_sims(self.perm_gens)
+        order = self.bsgs.order()
+        if expected_order is not None and order != expected_order:
+            raise ValueError(f"BSGS order {order} != formula/declared {expected_order}")
+        self.expected_order = order
         self.family: Optional[str] = None
         self.q: Optional[int] = None
         self.action: Optional[PointAction] = None
         self._order_multiple: Optional[Factorization] = None
 
-    # -- realization constructors
-
-    @classmethod
-    def from_permutations(cls, name: str, gens: Sequence[Permutation],
-                          expected_order: Optional[int] = None,
-                          bsgs: Optional[BSGS] = None) -> "GroupHandle":
-        """A handle on <gens>, built in full unless a complete BSGS of
-        <gens> is given; its order must equal expected_order, if given."""
-        if bsgs is None:
-            bsgs = schreier_sims(gens)
-        order = bsgs.order()
-        if expected_order is not None and order != expected_order:
-            raise ValueError(f"BSGS order {order} != declared {expected_order}")
-        return cls(name, gens, order, bsgs)
+    # -- matrix realizations
 
     @classmethod
     def from_matrix_spec(cls, spec: GroupSpec, quotient: bool = False) -> "GroupHandle":
@@ -112,9 +100,8 @@ class GroupHandle:
         projective action is used regardless, realizing the central
         quotient (PSL and friends).
 
-        When _classical_bound proves the generators lie in the classical
-        group, the BSGS build stops at that group's order (divided by the
-        scalars for a quotient); otherwise it runs in full.
+        The bound of the BSGS build is _classical_bound's, divided by the
+        scalars for a quotient, or None (a full build) without its proof.
         """
         gens = list(standard_generators(spec))
         if spec.declared_order is not None:
@@ -134,10 +121,7 @@ class GroupHandle:
         bound = _classical_bound(spec, gens)
         if bound is not None and quotient:
             bound //= center
-        bsgs = schreier_sims(perms, known_order=bound)
-        if bsgs.order() != expected:
-            raise ValueError(f"BSGS order {bsgs.order()} != formula/declared {expected}")
-        handle = cls(name, perms, expected, bsgs)
+        handle = cls(name, perms, expected, schreier_sims(perms, known_order=bound))
         handle.family = spec.family
         handle.q = spec.q
         handle.action = act
@@ -148,10 +132,6 @@ class GroupHandle:
     @cached_property
     def orbits(self) -> Tuple[int, ...]:
         return orbit_partition(self.perm_gens)
-
-    @cached_property
-    def bsgs(self) -> BSGS:
-        return schreier_sims(self.perm_gens)
 
     def inject_matrix(self, M: SquareMatrix) -> Permutation:
         """Image of a matrix in the handle's faithful action, with the

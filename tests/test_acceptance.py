@@ -332,7 +332,7 @@ def test_criterion_11_sporadic_words():
 def _alt5_handle():
     gens = [Permutation.from_cycles(5, [(1, 2, 3)]),
             Permutation.from_cycles(5, [(3, 4, 5)])]
-    return GroupHandle.from_permutations("Alt5", gens)
+    return GroupHandle("Alt5", gens)
 
 
 def test_criterion_12_alt5_negative_control():
@@ -381,7 +381,7 @@ def test_criterion_12_alt5_negative_control():
 
 def test_criterion_12_sl2_5_negative_control():
     gens, _, _ = matrix_to_perm(standard_generators(GroupSpec("SL", 2, 5)), "vectors")
-    G = GroupHandle.from_permutations("SL2_5", gens)
+    G = GroupHandle("SL2_5", gens)
     assert G.expected_order == 120
     els = sorted(mulclose(G.perm_gens), key=lambda g: g.images)
     reps = []
@@ -431,8 +431,7 @@ def test_criterion_13_property_suites():
         assert order <= 10 ** 4
         assert order == len(mulclose(gens))
     # structure constants vs exhaustive enumeration
-    s3 = GroupHandle.from_permutations(
-        "Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
+    s3 = GroupHandle("Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
     assert structure_constant(s3, cyc(3, (1, 2)), cyc(3, (1, 2)),
                               cyc(3, (1, 2, 3))) == 3
     alt5 = _alt5_handle()

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import beauville.catalog as catalog
 from beauville.catalog import (
     CatalogDataError,
     CatalogOptions,
@@ -46,6 +47,9 @@ def test_parse_errors_name_line_and_column():
     assert err.value.line == 2
     with pytest.raises(CatalogParseError):
         parse_catalog("group X\nsource builtin:SL:3:2\n")  # missing recipes
+    with pytest.raises(CatalogParseError, match="orders must be at least 2") as err:
+        parse_catalog("group X\nsource builtin:SL:3:2\ntriple1 search:1,3,7:1\n")
+    assert err.value.line == 3
 
 
 def test_missing_file_is_skipped(tmp_path):
@@ -191,10 +195,11 @@ expected_types (4,4,17),(5,5,5)
 
 def _assert_data_error(tmp_path, capsys, text, *needles):
     """run_entry raises CatalogDataError and the CLI exits 2 with every
-    needle in its message, without a traceback."""
+    needle in its message, without a traceback.  Sources are read relative
+    to tmp_path, where the catalog file is written."""
     entry, = parse_catalog(text)
     with pytest.raises(CatalogDataError, match=re.escape(needles[0])):
-        run_entry(entry, CatalogOptions(), {})
+        run_entry(entry, CatalogOptions(base_dir=str(tmp_path)), {})
     cat = tmp_path / "cat.txt"
     cat.write_text(text)
     assert main(["catalog", "--file", str(cat)]) == 2
@@ -250,6 +255,58 @@ expected_types (5,5,5),(5,5,5)
     _assert_data_error(tmp_path, capsys, text, "BAD (line 1)", source, message)
 
 
+@pytest.mark.parametrize("source,content,message", [
+    ("file:", None, "expected file:<relative path>"),
+    ("file:sub", None, "sub: Is a directory"),
+    ("file:latin.perm", "perm 3 1\n# caf\xe9\n2 3 1\n".encode("latin-1"),
+     "latin.perm: not UTF-8 text"),
+    ("file:noorder.mat", "mat 2 2 1 1\n1 0\n0 1\n".encode(),
+     "noorder.mat: matrix sources need an order line"),
+], ids=["no-path", "directory", "not-utf8", "mat-without-order"])
+def test_unreadable_generator_file_is_a_data_error(tmp_path, capsys, source, content,
+                                                   message):
+    (tmp_path / "sub").mkdir()
+    name = source.split(":")[1]
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    text = f"""group BAD
+source {source}
+triple1 search:5,5,5:1
+triple2 search:5,5,5:2
+expected_types (5,5,5),(5,5,5)
+"""
+    _assert_data_error(tmp_path, capsys, text, "BAD (line 1)", message)
+    with pytest.raises(CatalogDataError) as err:
+        realize_source(source, str(tmp_path))
+    assert name == "" or str(err.value).count(name) == 1
+
+
+# a small source of each builtin family (mostly the least simple group in it),
+# with its formula order; a family added to the table needs a row here
+BUILTIN_SOURCES = {
+    "Sz": ("8", 29120),
+    "OmegaMinus": ("4:2", 60),
+    "Alt": ("5", 60),
+    "SL": ("2:4", 60),
+    "PSL": ("2:5", 60),
+    "Sp": ("4:2", 720),
+    "PSp": ("4:3", 25920),
+    "SU": ("3:3", 6048),
+    "PSU": ("3:3", 6048),
+}
+
+
+@pytest.mark.parametrize("fam", sorted(catalog._BUILTINS))
+def test_every_builtin_family_realizes_at_its_formula_order(fam):
+    fields, order = BUILTIN_SOURCES[fam]
+    G = realize_source(f"builtin:{fam}:{fields}", ".")
+    assert G.expected_order == G.bsgs.order() == order
+    names = catalog._BUILTINS[fam][0]
+    usage = ":".join(["builtin", fam] + [f"<{n}>" for n in names])
+    with pytest.raises(CatalogDataError, match=re.escape(f"expected {usage}")):
+        realize_source(f"builtin:{fam}:{fields}:2", ".")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["zsigmondy", "--base", "2", "--exp", "11"]) == 0
     assert main(["zsigmondy", "--base", "1", "--exp", "11"]) == 2
@@ -259,6 +316,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert data["schema_version"] == 1
     assert data["entries"][0]["status"] == "Verified"
     capsys.readouterr()
+    # input errors exit 2 with an error line, and check nothing first
+    for argv, message in ((["covers", "--nmax", "15"], "--nmax must be in 3..14"),
+                          (["covers", "--nmax", "2"], "--nmax must be in 3..14"),
+                          (["catalog", "--only", "SL_3_2", "--budget", "-5"],
+                           "--budget must be at least 1"),
+                          (["catalog", "--only", "SL_3_2", "--budget", "0"],
+                           "--budget must be at least 1")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}" in err and "Traceback" not in err
 
 
 def test_cli_strict_fails_on_skipped(tmp_path, capsys):
@@ -281,6 +348,13 @@ def test_cli_search_and_unknown_flag(capsys):
     assert main(["search", "--family", "SL", "--d", "2", "--q", "6",
                  "--type", "5,5,5"]) == 2
     assert "6 is not a prime power" in capsys.readouterr().err
+    for argv, message in ((["--type", "1,3,7"], "each order at least 2"),
+                          (["--type", "5,5"], "each order at least 2"),
+                          (["--type", "5,5,5", "--budget", "-5"],
+                           "--budget must be at least 1")):
+        assert main(["search", "--family", "SL", "--d", "2", "--q", "11"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err and message in err and "Traceback" not in err
     with pytest.raises(SystemExit) as err:
         main(["search", "--family", "SL", "--bogus", "1"])
     assert err.value.code == 2

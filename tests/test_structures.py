@@ -49,10 +49,6 @@ def cyc(n, *cycles):
     return Permutation.from_cycles(n, list(cycles))
 
 
-def perm_handle(name, gens):
-    return GroupHandle.from_permutations(name, gens)
-
-
 def test_lineardim3_pair_generates_sl3():
     for q, lmn in ((5, (5, 5, 12)), (7, (7, 7, 24)), (8, (4, 2, 63)), (9, (3, 3, 40)),
                    (13, (13, 13, 84))):
@@ -68,11 +64,11 @@ def test_lineardim3_pair_generates_sl3():
 
 def test_verify_triple_diagnoses():
     x, y, _ = alt_triple(7)
-    G = perm_handle("Alt7", [x, y])
+    G = GroupHandle("Alt7", [x, y])
     res = verify_triple(G, x, y)
     assert isinstance(res, HyperbolicTriple) and res.orders == (5, 5, 5)
 
-    s3 = perm_handle("Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
+    s3 = GroupHandle("Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
     res = verify_triple(s3, s3.perm_gens[0], s3.perm_gens[1])
     assert isinstance(res, NotHyperbolic) and res.reciprocal_sum == Fraction(4, 3)
 
@@ -87,7 +83,7 @@ def test_verify_triple_rejects_a_conjugate_subgroup():
     # generate a group of the same order and the same (single) orbit, but a
     # different conjugate inside Sym(6)
     perms, _, _ = matrix_to_perm(standard_generators(GroupSpec("SL", 2, 5)), "projective")
-    G = GroupHandle.from_permutations("PSL2_5", perms, 60)
+    G = GroupHandle("PSL2_5", perms, 60)
     x, y = cyc(6, (2, 3), (5, 6)), cyc(6, (1, 2, 3, 4, 6))
     assert schreier_sims([x, y]).order() == 60
     res = verify_triple(G, x, y)
@@ -97,7 +93,7 @@ def test_verify_triple_rejects_a_conjugate_subgroup():
 
 def test_verify_triple_matches_full_schreier_sims_on_alt6():
     gens = [cyc(6, (1, 2, 3)), cyc(6, (2, 3, 4, 5, 6))]
-    G = perm_handle("Alt6", gens)
+    G = GroupHandle("Alt6", gens)
     full_G = schreier_sims(gens)
     alt6 = sorted(mulclose(gens), key=lambda g: g.images)
     sym6 = sorted(mulclose([cyc(6, (1, 2)), cyc(6, (1, 2, 3, 4, 5, 6))]),
@@ -188,6 +184,23 @@ def test_failed_membership_proof_builds_in_full(monkeypatch):
     assert known == 24 and bsgs.order() == 3
 
 
+def test_permutation_handle_checks_its_declared_order():
+    gens = [cyc(6, (1, 2, 3)), cyc(6, (2, 3, 4, 5, 6))]
+    with pytest.raises(ValueError, match="BSGS order 360 != formula/declared 720"):
+        GroupHandle("Alt6", gens, 720)
+    assert GroupHandle("Alt6", gens, 360).expected_order == 360
+
+
+def test_handle_without_a_bsgs_builds_the_full_one():
+    # a handle given no BSGS keeps the structure of a fresh full build
+    x, y, _ = alt_triple(7)
+    G = GroupHandle("Alt7", [x, y])
+    full = schreier_sims([x, y])
+    assert G.bsgs.base == full.base and G.expected_order == full.order() == 2520
+    assert ([{pt: rep.images for pt, rep in t.items()} for t in G.bsgs.transversals]
+            == [{pt: rep.images for pt, rep in t.items()} for t in full.transversals])
+
+
 def test_same_orbits_matches_orbit_partition():
     sl44 = GroupHandle.from_matrix_spec(GroupSpec("SL", 4, 4))
     sz8 = GroupHandle.from_matrix_spec(suzuki_generators(8))
@@ -234,7 +247,7 @@ def test_condition_iii_coprime_fast_path():
 
 def test_condition_iii_violation_on_equal_triples():
     x, y, _ = alt_triple(7)
-    G = perm_handle("Alt7", [x, y])
+    G = GroupHandle("Alt7", [x, y])
     t = verify_triple(G, x, y)
     cert = condition_iii(G, t, t)
     assert isinstance(cert, Violation)
@@ -282,7 +295,7 @@ def test_condition_iii_reduction_matches_power_pair_oracle():
             d, q = (3, 2) if name == "SL3_2" else (2, 7)
             G = GroupHandle.from_matrix_spec(GroupSpec("SL", d, q))
         else:
-            G = perm_handle(name, gens)
+            G = GroupHandle(name, gens)
         assert G.expected_order <= 5000
         # sample pairs of hyperbolic triples through the search machinery
         triples = []
@@ -351,7 +364,7 @@ def test_search_by_type_determinism_and_exhaustion():
 
 
 def test_structure_constant_sym3():
-    s3 = perm_handle("Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
+    s3 = GroupHandle("Sym3", [cyc(3, (1, 2)), cyc(3, (2, 3))])
     transposition = cyc(3, (1, 2))
     rotation = cyc(3, (1, 2, 3))
     assert structure_constant(s3, transposition, transposition, rotation) == 3
@@ -369,7 +382,7 @@ def test_structure_constant_sym3():
 
 
 def test_structure_constant_alt5():
-    alt5 = perm_handle("Alt5", [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))])
+    alt5 = GroupHandle("Alt5", [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))])
     five = cyc(5, (1, 2, 3, 4, 5))
     other = five * five  # the other class of 5-cycles
     got = structure_constant(alt5, five, five, other)
@@ -381,7 +394,7 @@ def test_structure_constant_alt5():
 
 
 def test_structure_constant_matches_brute_force():
-    alt5 = perm_handle("Alt5", [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))])
+    alt5 = GroupHandle("Alt5", [cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5))])
     reps = [cyc(5, (1, 2), (3, 4)), cyc(5, (1, 2, 3)), cyc(5, (1, 2, 3, 4, 5)),
             cyc(5, (1, 3, 5, 2, 4))]
     classes = [class_orbit(c, alt5.perm_gens) for c in reps]
