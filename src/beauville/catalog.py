@@ -44,7 +44,7 @@ from .matgrp import (
 )
 from .ffield import get_field, parse_element
 from .numtheory import factorize
-from .permgrp import Permutation, TooManyPoints, alt_bsgs, parse_perm_file
+from .permgrp import Permutation, TooManyPoints, alt_bsgs, content_lines, parse_perm_file
 from .structures import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
@@ -282,7 +282,8 @@ _BUILTINS = {
 
 def _builtin_args(source: str, fam: str, values: List[str]) -> Dict[str, int]:
     """The checked integer fields of a builtin source: the family's arity,
-    d >= 2 (even for Sp), n >= 3 and a prime-power q."""
+    d >= 2 (even for Sp), n >= 3 and a prime-power q.  SU_3(2) is refused:
+    its standard generators generate a proper subgroup."""
     names = _BUILTINS[fam][0]
     if len(values) != len(names) or not all(v.isdigit() for v in values):
         usage = ":".join(["builtin", fam] + [f"<{n}>" for n in names])
@@ -293,6 +294,9 @@ def _builtin_args(source: str, fam: str, values: List[str]) -> Dict[str, int]:
             raise CatalogDataError(f"source {source!r}: need {name} >= {least}")
     if fam in ("Sp", "PSp") and args["d"] % 2:
         raise CatalogDataError(f"source {source!r}: Sp needs an even d")
+    if fam in ("SU", "PSU") and (args["d"], args["q"]) == (3, 2):
+        raise CatalogDataError(f"source {source!r}: the SU_3(2) generators "
+                               "generate a proper subgroup")
     q = args.get("q", 2)
     if q < 2 or len(factorize(q).factors) != 1:
         raise CatalogDataError(f"source {source!r}: {q} is not a prime power")
@@ -328,9 +332,8 @@ def realize_source(source: str, base_dir: str,
             raise CatalogDataError(f"{name}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise CatalogDataError(f"{name}: not UTF-8 text (byte {exc.start})") from None
-        body = [ln for ln in text.splitlines()
-                if ln.strip() and not ln.lstrip().startswith("#")]
-        header = body[0].split()[0] if body else ""
+        body = content_lines(text)
+        header = body[0][1].split()[0] if body else ""
         if header == "mat" and declared_order is None:
             raise CatalogDataError(f"{name}: matrix sources need an order line")
         try:
@@ -352,25 +355,25 @@ def realize_source(source: str, base_dir: str,
 def parse_matrix_file(text: str) -> List[SquareMatrix]:
     """Parse the `mat <d> <p> <a> <count>` generator format: d rows of d
     comma-separated coefficient lists per generator."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    header = lines[0].split()
+    lines = content_lines(text)
+    if not lines:
+        raise ValueError("empty matrix file")
+    lineno, header = lines[0][0], lines[0][1].split()
     if len(header) != 5 or header[0] != "mat":
-        raise ValueError("line 1: expected header 'mat <d> <p> <a> <count>'")
+        raise ValueError(f"line {lineno}: expected header 'mat <d> <p> <a> <count>'")
     d, p, a, count = (int(v) for v in header[1:])
     ctx = get_field(p, a)
     expected_lines = 1 + d * count
     if len(lines) != expected_lines:
         raise ValueError(f"expected {expected_lines} lines, found {len(lines)}")
     gens = []
-    pos = 1
-    for _ in range(count):
+    for k in range(count):
         rows = []
-        for _ in range(d):
-            tokens = lines[pos].split()
+        for lineno, line in lines[1 + k * d:1 + (k + 1) * d]:
+            tokens = line.split()
             if len(tokens) != d:
-                raise ValueError(f"line {pos + 1}: expected {d} entries")
+                raise ValueError(f"line {lineno}: expected {d} entries")
             rows.append([parse_element(ctx, tok) for tok in tokens])
-            pos += 1
         gens.append(SquareMatrix(ctx, rows))
     return gens
 

@@ -114,7 +114,7 @@ def cmd_search(args) -> int:
         source = f"builtin:{args.family}:{args.d}:{args.q}"
     try:
         handle = realize_source(source, "")
-    except Exception as exc:  # noqa: BLE001 - surface as usage error
+    except CatalogDataError as exc:
         print(f"error: cannot realize group: {exc}", file=sys.stderr)
         return 2
     result = search_by_type(handle, lmn, args.budget, args.seed)

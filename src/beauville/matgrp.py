@@ -6,7 +6,8 @@ are returned monic as det(wI - M); the printed coefficient formulas from
 the small-rank constructions are normalized the same way before comparing.
 
 The matrix kernels read the field tables.  The product, elimination and
-powers take one SquareMatrix in pure Python; the order descent needs them.
+powers take one SquareMatrix in pure Python; the exact-order test
+`SquareMatrix.has_order` needs them.
 The characteristic polynomial and the form check run on stacks:
 `MatrixStack` holds n matrices of one dimension as an (n, d, d) code array,
 and its products, Berkowitz `charpolys` and `FormSpec.preserves_each` are
@@ -125,6 +126,13 @@ class SquareMatrix:
 
     def __pow__(self, e: int) -> "SquareMatrix":
         return binary_power(self, e, SquareMatrix.identity(self.ctx, self.d))
+
+    def has_order(self, n: int) -> bool:
+        """Whether the order is exactly n: M^n is the identity and M^(n/r)
+        is not for any prime r dividing n."""
+        if n < 1 or not (self ** n).is_identity():
+            return False
+        return not any((self ** (n // r)).is_identity() for r in factorize(n).primes)
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix._unchecked(self.ctx, tuple(zip(*self.rows)))
@@ -760,7 +768,6 @@ def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]
     lam_m2 = ctx.pow_code(lam, -2)
     excluded = {add(mu, inv(mu)) for mu in ctx.elements() if mu}
     three = 3 % ctx.p
-    exponent = factorize(q * q - 1)
     wanted = (q * q - 1) // (1 if q % 2 == 0 else 2)
     for m in ctx.elements():
         if m in excluded:
@@ -775,14 +782,14 @@ def lineardim3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]
             [lam, mul(lam, m), 0],
             [0, 0, lam_m2],
         ])
-        if order_of_matrix(z, exponent) != wanted:
+        if not z.has_order(wanted):
             continue
         x, y = lineardim3_matrices(ctx, a, b)
         xy = x * y
         cp_xy, cp_z = map(tuple, MatrixStack([xy, z]).charpolys().tolist())
         assert cp_xy == lineardim3_charpoly(ctx, a, b) == cp_z
         assert x.det() == 1 and y.det() == 1
-        assert order_of_matrix(xy, exponent) == wanted
+        assert xy.has_order(wanted)
         return x, y, xy
     raise BadField(f"no admissible multiplier over GF({q})")
 
@@ -862,8 +869,8 @@ def _u41_candidates(q: int) -> Iterator[_Candidate]:
 def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     """The SU_4(q) pair of the four-dimensional unitary construction, q > 2.
 
-    Takes the first candidate of _u41_candidates whose product reaches the
-    Zsigmondy order lambda_{4h,p} (q = p^h), then asserts on it form
+    Takes the first candidate of _u41_candidates whose product has exactly
+    the Zsigmondy order lambda_{4h,p} (q = p^h), then asserts on it form
     membership, the target charpoly, the printed coefficient identity and
     that e and c have trace zero.
     """
@@ -871,12 +878,9 @@ def u41_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
         raise BadField("construction needs q > 2")
     p, h = factorize(q).factors[0]
     target_order = lambda_value(4 * h, p)
-    zeta = factorize(target_order).primes[0]
     for target, x, y, (e, b, c) in _u41_candidates(q):
         xy = x * y
-        if not (xy ** target_order).is_identity():
-            continue
-        if target_order > 1 and (xy ** (target_order // zeta)).is_identity():
+        if not xy.has_order(target_order):
             continue
         ctx = xy.ctx
         add, pw = ctx.add_code, ctx.pow_code
@@ -930,7 +934,7 @@ def u3_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     z = SquareMatrix(ctx, [[lam, 0, 0], [0, lam1, 0], [0, 0, lam2]])
     cp_xy, cp_z = map(tuple, MatrixStack([xy, z]).charpolys().tolist())
     assert cp_xy == u3_charpoly(ctx, e, a, b) == cp_z
-    assert order_of_matrix(xy, factorize(q * q - 1)) == q * q - 1
+    assert xy.has_order(q * q - 1)
     return x, y, xy
 
 
@@ -1015,9 +1019,10 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     """The Sp_4(q) pair: unipotent/transvection for odd q > 3, the order-4
     pair for even q >= 4; product order (q^2+1)/gcd(2,q-1).
 
-    Takes the first candidate of _sp42_candidates whose product has that
-    order, then asserts on it form membership, the target charpoly and the
-    printed coefficient identity.
+    Takes the first candidate of _sp42_candidates whose product has exactly
+    that order, then asserts on it form membership, the target charpoly and
+    the printed coefficient identity, and for even q that x and y have
+    order 4.
     """
     even = get_field_of_order(q).p == 2
     if even and q < 4:
@@ -1025,19 +1030,15 @@ def sp42_triple(q: int) -> Tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     if not even and q <= 3:
         raise BadField("odd branch needs q > 3")
     target_order = (q * q + 1) // (1 if even else 2)
-    fac = factorize(target_order)
     for target, x, y, params in _sp42_candidates(q):
         xy = x * y
-        if not (xy ** target_order).is_identity():
-            continue
-        if any((xy ** (target_order // r)).is_identity() for r in fac.primes):
+        if not xy.has_order(target_order):
             continue
         ctx = xy.ctx
         printed = (sp42_charpoly_even if even else sp42_charpoly_odd)(ctx, *params)
         assert antidiagonal_form(ctx, 4, "symplectic").preserves_each(MatrixStack([x, y])).all()
         assert charpoly(xy) == target == printed
         if even:
-            assert order_of_matrix(x, factorize(8)) == 4
-            assert order_of_matrix(y, factorize(8)) == 4
+            assert x.has_order(4) and y.has_order(4)
         return x, y, xy
     raise BadField(f"no admissible (t, f) found for Sp_4({q})")

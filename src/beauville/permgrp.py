@@ -702,22 +702,29 @@ class ProductReplacer:
 # ingestion (1-based whitespace image lists)
 
 
+def content_lines(text: str) -> List[Tuple[int, str]]:
+    """The lines of a generator file that are neither blank nor '#'
+    comments, each with its own line number in the file, from 1."""
+    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def parse_perm_file(text: str) -> Tuple[List[Permutation], int]:
     """Parse the `perm <degree> <count>` generator file format."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty permutation file")
-    header = lines[0].split()
+    lineno, header = lines[0][0], lines[0][1].split()
     if len(header) != 3 or header[0] != "perm":
-        raise ValueError("line 1: expected header 'perm <degree> <count>'")
+        raise ValueError(f"line {lineno}: expected header 'perm <degree> <count>'")
     degree, count = int(header[1]), int(header[2])
     if len(lines) - 1 != count:
         raise ValueError(f"expected {count} generator lines, found {len(lines) - 1}")
     gens = []
-    for idx, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         images = [int(tok) for tok in line.split()]
         if sorted(images) != list(range(1, degree + 1)):
-            raise ValueError(f"line {idx}: not a permutation of 1..{degree}")
+            raise ValueError(f"line {lineno}: not a permutation of 1..{degree}")
         gens.append(Permutation([v - 1 for v in images]))
     return gens, degree
 

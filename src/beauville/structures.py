@@ -6,8 +6,8 @@ their BSGS, built with the handle, whose order certifies the expected
 order, and for matrix realizations the point action (vectors or projective
 points) that carries explicit matrices into the same permutation group.
 Every element is a Permutation, so all element orders are cycle-structure
-orders; the matrix-level order of an injected matrix is only cross-checked
-against its image.
+orders; the order of an injected matrix is only cross-checked against its
+image, when the action is faithful.
 
 Realizations of SL, Sp and SU and of their central quotients PSL, PSp
 and PSU stop their Schreier-Sims build once its transversal product
@@ -36,14 +36,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
-from .numtheory import Factorization, factorize
+from .numtheory import factorize
 from .matgrp import (
     GroupSpec,
     MatrixStack,
     SquareMatrix,
     antidiagonal_form,
     classical_order,
-    order_of_matrix,
     standard_generators,
 )
 from .permgrp import (
@@ -69,9 +68,10 @@ class GroupHandle:
     The BSGS of perm_gens is built at construction, in full unless a
     complete one is given, and kept; its order must equal expected_order,
     when one is given, and becomes the handle's order.  Matrix realizations
-    also carry the point action and the family and field parameter q of
-    their spec, which the explicit constructions need.  The orbit
-    partition, which verify_triple uses, is computed on first use and kept.
+    also carry the point action, whether it is faithful, and the family and
+    field parameter q of their spec, which the explicit constructions need.
+    The orbit partition, which verify_triple uses, is computed on first use
+    and kept.
     """
 
     def __init__(self, name: str, perm_gens: Sequence[Permutation],
@@ -86,7 +86,7 @@ class GroupHandle:
         self.family: Optional[str] = None
         self.q: Optional[int] = None
         self.action: Optional[PointAction] = None
-        self._order_multiple: Optional[Factorization] = None
+        self.faithful = False
 
     # -- matrix realizations
 
@@ -125,8 +125,7 @@ class GroupHandle:
         handle.family = spec.family
         handle.q = spec.q
         handle.action = act
-        if not quotient:
-            handle._order_multiple = _group_exponent_multiple(spec)
+        handle.faithful = center == 1 or not quotient
         return handle
 
     @cached_property
@@ -134,11 +133,10 @@ class GroupHandle:
         return orbit_partition(self.perm_gens)
 
     def inject_matrix(self, M: SquareMatrix) -> Permutation:
-        """Image of a matrix in the handle's faithful action, with the
-        matrix-level order cross-checked against the cycle structure."""
+        """Image of a matrix in the handle's point action.  When the action
+        is faithful, the matrix must have the order of its image."""
         perm = self.action.permutation(M)
-        if self._order_multiple is not None:
-            assert order_of_matrix(M, self._order_multiple) == perm.order()
+        assert not self.faithful or M.has_order(perm.order())
         return perm
 
     def replacer(self, rs: RandomSource) -> ProductReplacer:
@@ -183,17 +181,6 @@ def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[
     if kind and not antidiagonal_form(ctx, spec.d, kind).preserves_each(MatrixStack(gens)).all():
         return None
     return classical_order(spec).value
-
-
-def _group_exponent_multiple(spec: GroupSpec) -> Factorization:
-    """A factored multiple of every element order (|GL_d| over the matrix
-    field), used by the factored-order descent."""
-    ctx_q = spec.q * spec.q if spec.family in ("GU", "SU") else spec.q
-    d = spec.d
-    out = factorize(ctx_q).pow(d - 1)
-    for i in range(1, d + 1):
-        out = out * factorize(ctx_q ** i - 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import beauville.catalog as catalog
+import beauville.cli as cli
 from beauville.catalog import (
     CatalogDataError,
     CatalogOptions,
@@ -98,6 +99,8 @@ def test_matrix_file_ingestion(tmp_path):
     text = _matrix_file(gens, 2, 2)
     mats = parse_matrix_file(text)
     assert mats == list(gens)
+    with pytest.raises(ValueError, match="empty matrix file"):
+        parse_matrix_file("# no header\n\n")
     # run an entry over the ingested file: SL2(4) = Alt(5) has no Beauville
     # structure, but a (5,5,5) triple is findable
     (tmp_path / "sl24.mat").write_text(text)
@@ -244,6 +247,8 @@ expected_types (5,5,5),(5,5,5)
     ("builtin:SL:9:16", "exceeds the cap"),
     ("builtin:PSL:2:4096", "GF(4096) is not supported"),
     ("builtin:SL:2:70001", "GF(70001) is not supported"),
+    ("builtin:SU:3:2", "the SU_3(2) generators generate a proper subgroup"),
+    ("builtin:PSU:3:2", "the SU_3(2) generators generate a proper subgroup"),
 ])
 def test_malformed_builtin_source_is_a_data_error(tmp_path, capsys, source, message):
     text = f"""group BAD
@@ -279,6 +284,28 @@ expected_types (5,5,5),(5,5,5)
     with pytest.raises(CatalogDataError) as err:
         realize_source(source, str(tmp_path))
     assert name == "" or str(err.value).count(name) == 1
+
+
+@pytest.mark.parametrize("name,content,message", [
+    # the bad row is on line 7, after two comments and two blank lines
+    ("g.perm", "# generators on 4 points\nperm 4 2\n\n# a 4-cycle\n2 3 4 1\n\n1 1 2 3\n",
+     "g.perm: line 7: not a permutation of 1..4"),
+    ("m.mat", "# a 2 x 2 matrix over GF(2)\nmat 2 2 1 1\n\n1 0\n# its second row\n0 1 1\n",
+     "m.mat: line 6: expected 2 entries"),
+    ("h.perm", "\n# no header\n2 3 4 1\n", "h.perm: unknown generator file header '2'"),
+    ("h.mat", "\n# header on line 3\nmat 2 2 1\n1 0\n0 1\n",
+     "h.mat: line 3: expected header"),
+], ids=["perm-row", "mat-row", "perm-header", "mat-header"])
+def test_generator_file_errors_name_the_file_line(tmp_path, capsys, name, content, message):
+    (tmp_path / name).write_text(content)
+    text = f"""group BAD
+source file:{name}
+order 6
+triple1 search:5,5,5:1
+triple2 search:5,5,5:2
+expected_types (5,5,5),(5,5,5)
+"""
+    _assert_data_error(tmp_path, capsys, text, "BAD (line 1)", message)
 
 
 # a small source of each builtin family (mostly the least simple group in it),
@@ -345,9 +372,13 @@ def test_cli_search_and_unknown_flag(capsys):
     assert main(["search", "--family", "OmegaMinus", "--d", "4", "--q", "2",
                  "--type", "5,5,5"]) == 0
     assert "in OmegaMinus_4_2, group order 60" in capsys.readouterr().out
-    assert main(["search", "--family", "SL", "--d", "2", "--q", "6",
-                 "--type", "5,5,5"]) == 2
-    assert "6 is not a prime power" in capsys.readouterr().err
+    # realization errors exit 2 with an error line; SU_3(2)'s generators
+    # generate a proper subgroup, which the source check refuses
+    for argv, message in ((["SL", "--d", "2", "--q", "6"], "6 is not a prime power"),
+                          (["SU", "--d", "3", "--q", "2"], "generate a proper subgroup")):
+        assert main(["search", "--family"] + argv + ["--type", "5,5,5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
     for argv, message in ((["--type", "1,3,7"], "each order at least 2"),
                           (["--type", "5,5"], "each order at least 2"),
                           (["--type", "5,5,5", "--budget", "-5"],
@@ -359,6 +390,26 @@ def test_cli_search_and_unknown_flag(capsys):
         main(["search", "--family", "SL", "--bogus", "1"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_search_does_not_hide_program_faults(monkeypatch):
+    # only catalog-data errors are usage errors; anything else propagates
+    def fault(source, base_dir):
+        raise ValueError("BSGS order 54 != formula/declared 216")
+
+    monkeypatch.setattr(cli, "realize_source", fault)
+    with pytest.raises(ValueError, match="BSGS order 54"):
+        main(["search", "--family", "SU", "--d", "3", "--q", "3", "--type", "5,5,5"])
+
+
+# sha256 of the stdout of `beauville covers --nmax 12`
+COVERS_REPORT_SHA256 = "81be0c38b49a88324b87ba28407bafb2cb49a65c562ea0daf8b3efe1329a92c8"
+
+
+def test_cli_covers_report_golden(capsys):
+    assert main(["covers", "--nmax", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COVERS_REPORT_SHA256
 
 
 def test_cli_canonical_report_determinism(tmp_path, capsys):

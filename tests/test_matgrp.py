@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from beauville.ffield import get_field
+from beauville.ffield import get_field, get_field_of_order
 from beauville import identities, matgrp
 from beauville.identities import _mismatches
 from beauville.matgrp import (
@@ -108,6 +108,23 @@ def test_order_of_matrix():
     from beauville.matgrp import NotUnipotentConsistent
     with pytest.raises(NotUnipotentConsistent):
         order_of_matrix(comp, factorize(7))
+
+
+def test_has_order_matches_order_of_matrix():
+    # true exactly at the order found by the descent from |GL_d(q)|: not at
+    # 0, 1 (unless M = I), twice the order or the order over one prime
+    rs = RandomSource(22)
+    for d in range(1, 5):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            ctx = get_field_of_order(q)
+            exponent = classical_order(GroupSpec("GL", d, q))
+            for _ in range(4):
+                M = SquareMatrix(ctx, [[rs.randrange(q) for _ in range(d)] for _ in range(d)])
+                if M.det() == 0:
+                    continue
+                o = order_of_matrix(M, exponent)
+                for n in {0, 1, o, 2 * o} | {o // r for r in factorize(o).primes}:
+                    assert M.has_order(n) == (n == o), (d, q, M, n, o)
 
 
 def test_form_preservation_of_standard_generators():

@@ -7,6 +7,9 @@ from beauville.numtheory import (
     Classification,
     Factorization,
     NotCoprime,
+    _MR_BASES,
+    _MR_PROVEN_BOUND,
+    _miller_rabin,
     _small_primes,
     cyclotomic_value,
     divisors,
@@ -96,6 +99,18 @@ def test_is_prime_oracle():
         assert is_prime(n) == sieve[n]
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 67 - 1)
+
+
+def test_is_prime_strong_lucas_branch():
+    # from _MR_PROVEN_BOUND on, the 12-base Miller-Rabin test is followed by
+    # a strong Lucas test; the bound itself is a strong pseudoprime to every
+    # base, so only the Lucas test rejects it
+    n = _MR_PROVEN_BOUND
+    assert all(_miller_rabin(n, b) for b in _MR_BASES)
+    assert not is_prime(n)
+    for e in (89, 107, 127):
+        assert is_prime(2 ** e - 1)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
 
 
 def test_zsigmondy_known_anchors():

@@ -184,6 +184,23 @@ def test_failed_membership_proof_builds_in_full(monkeypatch):
     assert known == 24 and bsgs.order() == 3
 
 
+def test_inject_matrix_cross_checks_only_faithful_actions(monkeypatch):
+    # SL(2,5) acts faithfully on vectors; PSL(2,5) on projective points
+    # loses -I, so a matrix need not have the order of its image there
+    x = standard_generators(GroupSpec("SL", 2, 5))[0]
+    for quotient in (False, True):
+        G = GroupHandle.from_matrix_spec(GroupSpec("SL", 2, 5), quotient=quotient)
+        assert G.faithful is not quotient
+        assert G.inject_matrix(x).order() == 5
+        one = Permutation.identity(G.perm_gens[0].degree)
+        monkeypatch.setattr(G.action, "permutation", lambda M: one)
+        if quotient:
+            assert G.inject_matrix(x) is one
+        else:
+            with pytest.raises(AssertionError):
+                G.inject_matrix(x)
+
+
 def test_permutation_handle_checks_its_declared_order():
     gens = [cyc(6, (1, 2, 3)), cyc(6, (2, 3, 4, 5, 6))]
     with pytest.raises(ValueError, match="BSGS order 360 != formula/declared 720"):
@@ -243,6 +260,19 @@ def test_condition_iii_coprime_fast_path():
     assert isinstance(cert, CoprimeOrders) and cert.products == (64, 63)
     bs = BeauvilleStructure(t1, t2, cert)
     assert bs.types == ((4, 4, 4), (3, 3, 7))
+
+
+@pytest.mark.parametrize("types,checks", [
+    (((9, 9, 9), (5, 5, 6)), ((3, 0, 1), (3, 1, 1), (3, 2, 1))),
+    (((8, 8, 5), (6, 6, 9)), ((2, 0, 2), (2, 1, 2))),
+])
+def test_condition_iii_class_checked_in_sp43(types, checks):
+    # order products sharing a prime, at a seed whose triples pass
+    G = GroupHandle.from_matrix_spec(GroupSpec("Sp", 4, 3))
+    t1, t2 = (search_by_type(G, lmn, seed=1) for lmn in types)
+    cert = condition_iii(G, t1, t2)
+    assert cert == ClassChecked(checks)
+    assert _brute_force_condition_iii(G, t1, t2)
 
 
 def test_condition_iii_violation_on_equal_triples():
