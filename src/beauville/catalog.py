@@ -44,7 +44,7 @@ from .matgrp import (
 )
 from .ffield import get_field, parse_element
 from .numtheory import factorize
-from .permgrp import Permutation, TooManyPoints, alt_bsgs, content_lines, parse_perm_file
+from .permgrp import Permutation, TooManyPoints, alt_bsgs, at_line, content_lines, parse_perm_file
 from .structures import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
@@ -359,9 +359,10 @@ def parse_matrix_file(text: str) -> List[SquareMatrix]:
     if not lines:
         raise ValueError("empty matrix file")
     lineno, header = lines[0][0], lines[0][1].split()
-    if len(header) != 5 or header[0] != "mat":
-        raise ValueError(f"line {lineno}: expected header 'mat <d> <p> <a> <count>'")
-    d, p, a, count = (int(v) for v in header[1:])
+    with at_line(lineno):
+        if len(header) != 5 or header[0] != "mat":
+            raise ValueError("expected header 'mat <d> <p> <a> <count>'")
+        d, p, a, count = (int(v) for v in header[1:])
     ctx = get_field(p, a)
     expected_lines = 1 + d * count
     if len(lines) != expected_lines:
@@ -370,10 +371,11 @@ def parse_matrix_file(text: str) -> List[SquareMatrix]:
     for k in range(count):
         rows = []
         for lineno, line in lines[1 + k * d:1 + (k + 1) * d]:
-            tokens = line.split()
-            if len(tokens) != d:
-                raise ValueError(f"line {lineno}: expected {d} entries")
-            rows.append([parse_element(ctx, tok) for tok in tokens])
+            with at_line(lineno):
+                tokens = line.split()
+                if len(tokens) != d:
+                    raise ValueError(f"expected {d} entries")
+                rows.append([parse_element(ctx, tok) for tok in tokens])
         gens.append(SquareMatrix(ctx, rows))
     return gens
 

@@ -20,10 +20,11 @@ reaches |G| (known_order): that proves H = G, and the stopped structure is
 complete.  Each transversal rep is inverted at most once, on first use in
 a sift, and the inverse is kept.
 
-Conjugacy classes are closed a whole breadth-first layer at a time on
-numpy arrays of image rows.  The closure dedupes on the images of a base
-of <gens, g>, which is exact because two elements of a group that agree on
-its base are equal, and builds full rows only for new class elements.
+Conjugacy classes are closed a whole breadth-first layer at a time in
+numpy, with no Python statement per candidate.  The closure keys each
+element by its images of a base of <gens, g> (exact, because two elements
+of a group that agree on its base are equal), dedupes a layer's keys by
+sorting, and builds full rows only for new class elements.
 Classes are kept as packed rows (PackedClass) in the same byte format, so
 membership tests and structure constants use the elements' own bytes, and
 class rows become Permutations with no copy.
@@ -31,6 +32,7 @@ class rows become Permutations with no copy.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -505,7 +507,8 @@ class PackedClass:
     rows up to 256 points, uint16 up to 65,536), so membership tests take
     the element's own bytes and rows become Permutations with no copy.
     packed_class dedupes on shorter keys, the images of a base of the group
-    the elements lie in, and builds these full-row keys once at the end."""
+    the elements lie in, packed into an int64 or a void scalar and kept as
+    a sorted array, and builds these full-row keys once at the end."""
 
     def __init__(self, keys: set, degree: int):
         self.keys = keys
@@ -524,7 +527,7 @@ class PackedClass:
         a = np.frombuffer(b"".join(self.keys), self.dtype).reshape(-1, self.degree)
         a_inv = np.empty_like(a)
         a_inv[np.arange(len(a))[:, None], a] = _identity_row(self.degree)
-        return sum(key in other.keys for key in _keys(_row(z)[a_inv]))
+        return sum(key in other.keys for key in _keys(_apply(z, a_inv)).tolist())
 
 
 def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
@@ -535,37 +538,40 @@ def packed_class(g: Permutation, gens: Sequence[Permutation], cap: int):
     of image rows; conjugating row x by h gives y = h^-1 x h with
     y[i] = h[x[h^-1[i]]].  Every conjugate lies in H = <gens, g>, and two
     elements of H that agree on a base B of H are equal, so the closure
-    dedupes on the images of B alone: per generator it gathers the
-    |F| x |B| array h[F[:, h^-1[B]]], and builds full rows only for the
-    conjugates not seen before."""
+    dedupes on the images of B alone.  Per layer it gathers the base
+    images h[F[:, h^-1[B]]] for every generator at once, one key each
+    (_base_keys), sorts them, drops repeats and the keys already in the
+    sorted array `seen` (found by searchsorted), merges the rest into
+    `seen`, and builds full rows only for those new elements."""
     bsgs = _memo_bsgs(tuple(gens))
-    base = bsgs.base if bsgs.contains(g) else schreier_sims([*gens, g]).base
+    base = np.array(bsgs.base if bsgs.contains(g) else schreier_sims([*gens, g]).base, np.intp)
+    n = g.degree
     pairs = []
     for h in gens:
         hinv = _row(h.inverse()).astype(np.intp)
-        pairs.append((_row(h), hinv, hinv[base]))
+        pairs.append((h, hinv, hinv[base]))
     frontier = _row(g)[None, :]
-    seen = set(_keys(frontier.take(base, axis=1)))
+    seen = _base_keys(frontier.take(base, axis=1), n)
     layers = []
-    while True:
+    while len(frontier):
         layers.append(frontier)
-        fresh = []
-        for h, hinv, hinv_base in pairs:
-            new = []
-            for i, key in enumerate(_keys(h[frontier.take(hinv_base, axis=1)])):
-                if key not in seen:
-                    seen.add(key)
-                    new.append(i)
-            if len(seen) > cap:
-                return CAP_EXCEEDED
-            if new:
-                fresh.append(h[frontier[new].take(hinv, axis=1)])
-        if not fresh:
-            break
-        frontier = np.concatenate(fresh)
-    keys = {key for layer in layers for key in _keys(layer)}
+        keys = _base_keys(np.concatenate(
+            [_apply(h, frontier.take(hinv_base, axis=1)) for h, _, hinv_base in pairs]), n)
+        order = keys.argsort()
+        keys = keys[order]
+        new = np.ones(len(keys), bool)
+        new[1:] = keys[1:] != keys[:-1]
+        pos = seen.searchsorted(keys)
+        new &= seen[np.minimum(pos, len(seen) - 1)] != keys
+        seen = np.insert(seen, pos[new], keys[new])
+        if len(seen) > cap:
+            return CAP_EXCEEDED
+        gen, rows = np.divmod(order[new], len(frontier))
+        frontier = np.concatenate([_apply(h, frontier[rows[gen == j]].take(hinv, axis=1))
+                                   for j, (h, hinv, _) in enumerate(pairs)])
+    keys = set().union(*(_keys(layer).tolist() for layer in layers))
     assert len(keys) == len(seen), "base images failed to separate class elements"
-    return PackedClass(keys, g.degree)
+    return PackedClass(keys, n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -580,13 +586,32 @@ def _row(p: Permutation) -> np.ndarray:
     return np.frombuffer(p._data, _dtype(p.degree))
 
 
-def _keys(rows: np.ndarray) -> list:
-    """The rows of a C-contiguous 2-D array, each as one bytes key taken
-    through a single void-dtype view."""
-    width = rows.shape[1] * rows.itemsize
-    if not width:  # a view of zero-width rows has no elements to list
-        return [b""] * len(rows)
-    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+def _apply(h: Permutation, y: np.ndarray) -> np.ndarray:
+    """h[y]: h applied to every entry of an image array.  uint8 entries go
+    through one bytes.translate with h's row padded to a 256-byte table,
+    as in Permutation.__mul__, not an index gather that casts y to intp;
+    wider entries through take, which is faster than indexing h[y]."""
+    if h.degree <= 256:
+        table = h._data + _IDENT_BYTES[h.degree:]
+        return np.frombuffer(y.tobytes().translate(table), np.uint8).reshape(y.shape)
+    return _row(h).take(y)
+
+
+def _base_keys(images: np.ndarray, degree: int) -> np.ndarray:
+    """One sortable key per row of base images: the row as an int64 in
+    radix degree when degree ** width < 2 ** 63, else the row's bytes as
+    one void scalar.  Both kinds sort, compare and searchsorted alike."""
+    width = images.shape[1]
+    if degree ** width < 2 ** 63:
+        return images.astype(np.int64) @ (degree ** np.arange(width, dtype=np.int64))
+    return _keys(images)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array of positive width as one void scalar each,
+    a view over the rows' bytes; .tolist() gives them as bytes keys."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +734,33 @@ def content_lines(text: str) -> List[Tuple[int, str]]:
             if ln.strip() and not ln.lstrip().startswith("#")]
 
 
+@contextlib.contextmanager
+def at_line(lineno: int):
+    """Prefix a ValueError raised in the block with the file line it read."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
+
+
 def parse_perm_file(text: str) -> Tuple[List[Permutation], int]:
     """Parse the `perm <degree> <count>` generator file format."""
     lines = content_lines(text)
     if not lines:
         raise ValueError("empty permutation file")
     lineno, header = lines[0][0], lines[0][1].split()
-    if len(header) != 3 or header[0] != "perm":
-        raise ValueError(f"line {lineno}: expected header 'perm <degree> <count>'")
-    degree, count = int(header[1]), int(header[2])
+    with at_line(lineno):
+        if len(header) != 3 or header[0] != "perm":
+            raise ValueError("expected header 'perm <degree> <count>'")
+        degree, count = int(header[1]), int(header[2])
     if len(lines) - 1 != count:
         raise ValueError(f"expected {count} generator lines, found {len(lines) - 1}")
     gens = []
     for lineno, line in lines[1:]:
-        images = [int(tok) for tok in line.split()]
-        if sorted(images) != list(range(1, degree + 1)):
-            raise ValueError(f"line {lineno}: not a permutation of 1..{degree}")
+        with at_line(lineno):
+            images = [int(tok) for tok in line.split()]
+            if sorted(images) != list(range(1, degree + 1)):
+                raise ValueError(f"not a permutation of 1..{degree}")
         gens.append(Permutation([v - 1 for v in images]))
     return gens, degree
 

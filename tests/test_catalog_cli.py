@@ -295,7 +295,15 @@ expected_types (5,5,5),(5,5,5)
     ("h.perm", "\n# no header\n2 3 4 1\n", "h.perm: unknown generator file header '2'"),
     ("h.mat", "\n# header on line 3\nmat 2 2 1\n1 0\n0 1\n",
      "h.mat: line 3: expected header"),
-], ids=["perm-row", "mat-row", "perm-header", "mat-header"])
+    # a field that is not an integer names its line too
+    ("i.perm", "perm 4 1\n# a letter among the images\n2 x 1 4\n",
+     "i.perm: line 3: invalid literal for int()"),
+    ("j.perm", "# degree is not a number\nperm four 1\n2 3 4 1\n",
+     "j.perm: line 2: invalid literal for int()"),
+    ("i.mat", "mat 2 2 1 1\n1 0\n\n0 x\n", "i.mat: line 4: invalid literal for int()"),
+    ("j.mat", "mat 2 2 1 1\n1 0,1\n0 1\n", "j.mat: line 2: too many coefficients"),
+], ids=["perm-row", "mat-row", "perm-header", "mat-header",
+        "perm-row-int", "perm-header-int", "mat-entry-int", "mat-entry-coefficients"])
 def test_generator_file_errors_name_the_file_line(tmp_path, capsys, name, content, message):
     (tmp_path / name).write_text(content)
     text = f"""group BAD

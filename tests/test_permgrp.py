@@ -358,11 +358,18 @@ def test_class_orbit_matches_reference_closure():
     trivial = [Permutation.identity(3)]
     assert class_orbit(cyc(4, (3, 4)), c3) == {cyc(4, (1, 4)), cyc(4, (2, 4)), cyc(4, (3, 4))}
     assert schreier_sims(trivial).base == []
+    # Alt(20) = <(1 2 3), (2 3 ... 20)> has an 18-point base, so its keys
+    # need 78 bits and are void scalars, not int64.  Its 5-cycle class
+    # (372,096 elements) is left out: the reference closure alone takes
+    # seconds.
+    alt20 = [cyc(20, (1, 2, 3)), cyc(20, tuple(range(2, 21)))]
+    assert 20 ** len(schreier_sims(alt20).base) >= 2 ** 63
     cases = [(sym4, [cyc(4, (1, 2)), cyc(4, (1, 2), (3, 4))]),
              (alt4, [cyc(4, (1, 2, 3))]),
              (alt5, [cyc(5, (1, 2, 3, 4, 5)), cyc(5, (1, 2), (3, 4))]),
              (c3, [cyc(4, (3, 4)), cyc(4, (1, 2), (3, 4))]),
-             (trivial, trivial)]
+             (trivial, trivial),
+             (alt20, [cyc(20, (1, 2, 3)), cyc(20, (1, 2), (3, 4))])]
     # degree 80 packs rows as uint8, degree 585 as uint16
     for gens, count in ((sp43, 3), (sz8, 2)):
         rep = ProductReplacer(gens, RandomSource(gens[0].degree))
