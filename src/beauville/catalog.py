@@ -60,7 +60,7 @@ from .structures import (
     search_by_type,
     verify_triple,
 )
-from .words import evaluate_word
+from .words import ParseError, WordExpr, evaluate_word, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -81,8 +81,8 @@ class TripleRecipe:
     kind: str  # 'search' | 'words' | 'construction'
     type_lmn: Optional[Tuple[int, int, int]] = None
     seed: int = 0
-    x_word: Optional[str] = None
-    g_word: Optional[str] = None
+    x_word: Optional[WordExpr] = None
+    g_word: Optional[WordExpr] = None
     construction: Optional[str] = None
 
 
@@ -147,15 +147,20 @@ class Report:
 
 def _parse_type_list(text: str, line: int, col: int) -> Tuple[Tuple[int, int, int], ...]:
     parts = []
-    depth = 0
+    depth = start = 0
     current = ""
-    for ch in text:
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
             current = ""
+            start = i + 1
         elif ch == ")":
             depth -= 1
-            nums = tuple(int(v) for v in current.split(","))
+            try:
+                nums = tuple(int(v) for v in current.split(","))
+            except ValueError:
+                raise CatalogParseError(line, col + start,
+                                        f"orders must be integers, got ({current})") from None
             if len(nums) != 3:
                 raise CatalogParseError(line, col, f"expected 3 orders, got {nums}")
             parts.append(nums)
@@ -184,7 +189,16 @@ def _parse_recipe(text: str, line: int, col: int) -> TripleRecipe:
     if pieces[0] == "words":
         if len(pieces) != 3:
             raise CatalogParseError(line, col, "words:<x word>:<conjugator word>")
-        return TripleRecipe("words", x_word=pieces[1], g_word=pieces[2])
+        words = []
+        offset = len("words:")
+        for piece in pieces[1:]:
+            try:
+                words.append(parse_word(piece))
+            except ParseError as exc:
+                raise CatalogParseError(line, col + offset + exc.position,
+                                        f"word {piece!r}: expected {exc.expected}") from None
+            offset += len(piece) + 1
+        return TripleRecipe("words", x_word=words[0], g_word=words[1])
     if pieces[0] == "construction":
         if len(pieces) != 2 or pieces[1] not in ("lineardim3", "u41", "u3", "sp42"):
             raise CatalogParseError(line, col,
@@ -408,6 +422,9 @@ def _build_triple(G: GroupHandle, entry: CatalogEntry, recipe: TripleRecipe,
             return result, seed, result.attempts
         return result, seed, 0
     if recipe.kind == "words":
+        if len(G.perm_gens) < 2:
+            raise CatalogDataError(f"{entry.name} (line {entry.line}): words recipe needs two "
+                                   f"standard generators, {entry.source} has {len(G.perm_gens)}")
         ab = G.perm_gens[:2]
         x = evaluate_word(ab, recipe.x_word)
         y = x.conjugate(evaluate_word(ab, recipe.g_word))

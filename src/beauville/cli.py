@@ -61,6 +61,9 @@ def cmd_catalog(args) -> int:
     if args.budget < 1:
         print("error: --budget must be at least 1", file=sys.stderr)
         return 2
+    if args.cap < 1:
+        print("error: --cap must be at least 1", file=sys.stderr)
+        return 2
     path = args.file or shipped_catalog_path()
     try:
         entries, base_dir = load_catalog_file(path)
@@ -69,6 +72,9 @@ def cmd_catalog(args) -> int:
         return 2
     except CatalogParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
+    if args.only is not None and all(e.name != args.only for e in entries):
+        print(f"error: no entry named {args.only!r} in {path}", file=sys.stderr)
         return 2
     options = CatalogOptions(
         master_seed=args.seed,

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -418,52 +419,37 @@ class GroupSpec:
         return f"{self.family}_{self.d}_{self.q}"
 
 
-def classical_order(spec: GroupSpec) -> Factorization:
-    """|G| in factored form from the standard order formulas."""
+def classical_order(spec: GroupSpec) -> int:
+    """|G| from the standard order formulas."""
     fam, d, q = spec.family, spec.d, spec.q
     if fam == "Ingested":
         raise UnsupportedFamily("Ingested specs carry a declared order instead")
-    qf = factorize(q)
-
-    def prod(parts: Iterable[int]) -> Factorization:
-        out = Factorization(1, ())
-        for n in parts:
-            out = out * factorize(n)
-        return out
-
     if fam in ("GL", "SL"):
-        out = qf.pow(d * (d - 1) // 2) * prod(q ** i - 1 for i in range(1, d + 1))
-        if fam == "SL":
-            out = out.exact_div(factorize(q - 1))
-        return out
+        out = q ** (d * (d - 1) // 2) * math.prod(q ** i - 1 for i in range(1, d + 1))
+        return out // (q - 1) if fam == "SL" else out
     if fam in ("GU", "SU"):
-        out = qf.pow(d * (d - 1) // 2) * prod(q ** i - (-1) ** i for i in range(1, d + 1))
-        if fam == "SU":
-            out = out.exact_div(factorize(q + 1))
-        return out
+        out = q ** (d * (d - 1) // 2) * math.prod(q ** i - (-1) ** i for i in range(1, d + 1))
+        return out // (q + 1) if fam == "SU" else out
     if fam == "Sp":
         if d % 2:
             raise UnsupportedFamily("Sp needs even dimension")
         m = d // 2
-        return qf.pow(m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+        return q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
     if fam == "OmegaOdd":
         if d % 2 == 0 or q % 2 == 0:
             raise UnsupportedFamily("OmegaOdd needs odd d and odd q")
         m = d // 2
-        out = qf.pow(m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
-        return out.exact_div(factorize(2))
+        return q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1)) // 2
     if fam in ("OmegaPlus", "OmegaMinus"):
         if d % 2:
             raise UnsupportedFamily("even-dimensional family")
         m = d // 2
         eps = 1 if fam == "OmegaPlus" else -1
-        out = (qf.pow(m * (m - 1)) * prod([q ** m - eps])
-               * prod(q ** (2 * i) - 1 for i in range(1, m)))
-        if q % 2:
-            out = out.exact_div(factorize(2))
-        return out
+        out = (q ** (m * (m - 1)) * (q ** m - eps)
+               * math.prod(q ** (2 * i) - 1 for i in range(1, m)))
+        return out // 2 if q % 2 else out
     if fam == "SuzukiB2":
-        return prod([q * q, q * q + 1, q - 1])
+        return q * q * (q * q + 1) * (q - 1)
     raise UnsupportedFamily(fam)
 
 
@@ -477,8 +463,7 @@ def singer_order(spec: GroupSpec) -> int:
     if fam == "Sp" and d % 2 == 0:
         return q ** (d // 2) + 1
     if fam == "OmegaMinus" and d % 2 == 0:
-        from math import gcd
-        return (q ** (d // 2) + 1) // gcd(q + 1, 2)
+        return (q ** (d // 2) + 1) // math.gcd(q + 1, 2)
     raise UnsupportedFamily(f"no Singer order for {fam}_{d}")
 
 # ---------------------------------------------------------------------------
@@ -591,8 +576,8 @@ def suzuki_generators(q: int) -> GroupSpec:
     """Standard 4-dimensional generators of Sz(q), q = 2^(2m+1) >= 8.
 
     The unipotent family u(a, b), the torus element for a field generator
-    and the antidiagonal involution.  The declared order is the formula
-    q^2 (q^2 + 1)(q - 1); the BSGS cross-check lives with the callers.
+    and the antidiagonal involution.  The declared order comes from
+    classical_order; the BSGS cross-check lives with the callers.
     """
     fac = factorize(q).factors
     if len(fac) != 1 or fac[0][0] != 2 or fac[0][1] % 2 == 0 or q < 8:
@@ -621,7 +606,7 @@ def suzuki_generators(q: int) -> GroupSpec:
     flip = SquareMatrix(ctx, [
         [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
     gens = (u(1, 0), u(0, 1), torus, flip)
-    order = q * q * (q * q + 1) * (q - 1)
+    order = classical_order(GroupSpec("SuzukiB2", 4, q))
     return GroupSpec("SuzukiB2", 4, q, generators=gens, declared_order=order,
                      name=f"Sz_{q}")
 
@@ -688,7 +673,7 @@ def omega_minus_char2_generators(d: int, q: int = 2) -> GroupSpec:
             sample.append(a)
     base = transvection(nonsingular[0])
     gens = tuple(base * transvection(a) for a in sample)
-    order = classical_order(GroupSpec("OmegaMinus", d, 2)).value
+    order = classical_order(GroupSpec("OmegaMinus", d, 2))
     return GroupSpec("OmegaMinus", d, 2, generators=gens, declared_order=order,
                      name=f"OmegaMinus_{d}_2")
 

@@ -183,27 +183,6 @@ class Factorization:
                 return e
         return 0
 
-    def __mul__(self, other: "Factorization") -> "Factorization":
-        exps: Dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        return Factorization(self.value * other.value, tuple(sorted(exps.items())))
-
-    def exact_div(self, other: "Factorization") -> "Factorization":
-        exps: Dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            if exps.get(p, 0) < e:
-                raise ValueError(f"{other.value} does not divide {self.value}")
-            exps[p] -= e
-            if exps[p] == 0:
-                del exps[p]
-        return Factorization(self.value // other.value, tuple(sorted(exps.items())))
-
-    def pow(self, k: int) -> "Factorization":
-        if k == 0:
-            return Factorization(1, ())
-        return Factorization(self.value ** k, tuple((p, e * k) for p, e in self.factors))
-
     def divisors(self) -> Iterator[int]:
         divs = [1]
         for p, e in self.factors:

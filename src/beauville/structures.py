@@ -11,15 +11,16 @@ image, when the action is faithful.
 
 Realizations of SL, Sp and SU and of their central quotients PSL, PSp
 and PSU stop their Schreier-Sims build once its transversal product
-reaches the formula order |G|.  That is a proof, not a guess: each matrix
-generator is first checked to lie in G (determinant 1, and for Sp and SU
-the antidiagonal form that the standard generators are built on), so
-|<gens>| <= |G|, and a lower bound reaching that upper bound makes the
-BSGS complete (see permgrp.schreier_sims).  The builtin Alt(n) has even
-generators, so it stops at n!/2 the same way (permgrp.alt_bsgs).  Sz,
-Omega^-, ingested matrix files and permutation files have no such proof
-and build in full.  Either way GroupHandle compares the BSGS order with
-|G| for equality.
+reaches the formula order |G|.  That is a proof, not a guess: the
+membership predicate _in_classical_group first checks that each matrix
+generator lies in G (determinant 1, and for Sp and SU the antidiagonal
+form that the standard generators are built on), so |<gens>| <= |G|, and
+a lower bound reaching that upper bound makes the BSGS complete (see
+permgrp.schreier_sims).  The builtin Alt(n) has even generators, so it
+stops at n!/2 the same way (permgrp.alt_bsgs).  Sz, Omega^-, ingested
+matrix files and permutation files carry a declared order, have no such
+proof and build in full.  Either way GroupHandle compares the BSGS order
+with |G| for equality.
 
 verify_triple certifies generation without a full Schreier-Sims build of
 <x, y>: an orbit comparison that can only reject, membership of x and y in
@@ -100,14 +101,16 @@ class GroupHandle:
         projective action is used regardless, realizing the central
         quotient (PSL and friends).
 
-        The bound of the BSGS build is _classical_bound's, divided by the
-        scalars for a quotient, or None (a full build) without its proof.
+        The BSGS build stops at the expected order only when that order
+        comes from the formula and _in_classical_group proves its premise;
+        otherwise it runs in full.
         """
         gens = list(standard_generators(spec))
         if spec.declared_order is not None:
             expected = spec.declared_order
         else:
-            expected = classical_order(spec).value
+            expected = classical_order(spec)
+        proven = spec.declared_order is None and _in_classical_group(spec, gens)
         ctx = gens[0].ctx
         center = _scalar_subgroup_order(spec, ctx, gens[0].d)
         name = spec.label()
@@ -118,10 +121,8 @@ class GroupHandle:
         else:
             action = "vectors" if center > 1 else "projective"
         perms, _, act = matrix_to_perm(gens, action)
-        bound = _classical_bound(spec, gens)
-        if bound is not None and quotient:
-            bound //= center
-        handle = cls(name, perms, expected, schreier_sims(perms, known_order=bound))
+        bsgs = schreier_sims(perms, known_order=expected if proven else None)
+        handle = cls(name, perms, expected, bsgs)
         handle.family = spec.family
         handle.q = spec.q
         handle.action = act
@@ -162,25 +163,22 @@ def _scalar_subgroup_order(spec: GroupSpec, ctx, d: int) -> int:
     return ctx.q - 1
 
 
-def _classical_bound(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> Optional[int]:
-    """|G| for the SL, Sp or SU group G of spec when every generator is
-    proven to lie in G, else None.  The proof is determinant 1, and for Sp
-    and SU that the generators preserve the antidiagonal form (symplectic
-    or hermitian) on which the standard generators are built, checked as
-    one stack."""
+def _in_classical_group(spec: GroupSpec, gens: Sequence[SquareMatrix]) -> bool:
+    """Whether every generator is proven to lie in the SL, Sp or SU group
+    G of spec, so that |<gens>| <= |G|.  The proof is determinant 1, and
+    for Sp and SU that the generators preserve the antidiagonal form
+    (symplectic or hermitian) on which the standard generators are built,
+    checked as one stack."""
     kinds = {"SL": None, "Sp": "symplectic", "SU": "hermitian"}
     if spec.family not in kinds:
-        return None
+        return False
     ctx = gens[0].ctx
     field_order = spec.q ** 2 if spec.family == "SU" else spec.q
-    if ctx.q != field_order or any(g.d != spec.d for g in gens):
-        return None
+    if ctx.q != field_order or any(g.d != spec.d or g.det() != 1 for g in gens):
+        return False
     kind = kinds[spec.family]
-    if any(g.det() != 1 for g in gens):
-        return None
-    if kind and not antidiagonal_form(ctx, spec.d, kind).preserves_each(MatrixStack(gens)).all():
-        return None
-    return classical_order(spec).value
+    return kind is None or bool(
+        antidiagonal_form(ctx, spec.d, kind).preserves_each(MatrixStack(gens)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,7 @@ class CoprimeOrders:
 
 @dataclass(frozen=True)
 class ClassChecked:
-    checks: Tuple[Tuple[int, int, int], ...]  # (prime, order_u, order_v) verified
+    checks: Tuple[Tuple[int, int, int], ...]  # (prime, u slot, number of t2 elements checked)
 
 
 @dataclass(frozen=True)

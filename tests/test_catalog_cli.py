@@ -51,6 +51,16 @@ def test_parse_errors_name_line_and_column():
     with pytest.raises(CatalogParseError, match="orders must be at least 2") as err:
         parse_catalog("group X\nsource builtin:SL:3:2\ntriple1 search:1,3,7:1\n")
     assert err.value.line == 3
+    # words are parsed with the catalog, not when the recipe runs; the
+    # column points into the recipe at the failing position of the word
+    for recipe, column, expected in (("words:a(b:ba", 18, "expected ')'"),
+                                     ("words:ab:c", 18, "expected 'a', 'b' or '('")):
+        with pytest.raises(CatalogParseError, match=re.escape(expected)) as err:
+            parse_catalog(f"group X\nsource builtin:SL:3:2\ntriple1 {recipe}\n")
+        assert (err.value.line, err.value.column) == (3, column)
+    with pytest.raises(CatalogParseError, match="orders must be integers") as err:
+        parse_catalog("group X\nsource builtin:SL:3:2\nexpected_types (4,4,x),(3,3,7)\n")
+    assert (err.value.line, err.value.column) == (3, 17)
 
 
 def test_missing_file_is_skipped(tmp_path):
@@ -81,6 +91,21 @@ expected_types (2,2,2),(3,3,3)
 """)
     entries, base = load_catalog_file(str(path))
     with pytest.raises(CatalogDataError):
+        run_catalog(entries, CatalogOptions(base_dir=base))
+
+
+def test_words_recipe_needs_two_generators(tmp_path):
+    (tmp_path / "one.perm").write_text("perm 5 1\n2 3 4 5 1\n")
+    path = tmp_path / "cat.txt"
+    path.write_text("""group ONE
+source file:one.perm
+order 5
+triple1 words:ab:b
+triple2 words:ba:a
+expected_types (5,5,5),(5,5,5)
+""")
+    entries, base = load_catalog_file(str(path))
+    with pytest.raises(CatalogDataError, match=r"ONE \(line 1\): words recipe needs two"):
         run_catalog(entries, CatalogOptions(base_dir=base))
 
 
@@ -357,7 +382,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                           (["catalog", "--only", "SL_3_2", "--budget", "-5"],
                            "--budget must be at least 1"),
                           (["catalog", "--only", "SL_3_2", "--budget", "0"],
-                           "--budget must be at least 1")):
+                           "--budget must be at least 1"),
+                          (["catalog", "--only", "SL_3_2", "--cap", "0"],
+                           "--cap must be at least 1"),
+                          (["catalog", "--only", "SL_3_2", "--cap", "-5"],
+                           "--cap must be at least 1"),
+                          (["catalog", "--only", "NoSuchRow"],
+                           "no entry named 'NoSuchRow'")):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"error: {message}" in err and "Traceback" not in err
