@@ -163,6 +163,8 @@ def _parse_type_list(text: str, line: int, col: int) -> Tuple[Tuple[int, int, in
                                         f"orders must be integers, got ({current})") from None
             if len(nums) != 3:
                 raise CatalogParseError(line, col, f"expected 3 orders, got {nums}")
+            if min(nums) < 2:
+                raise CatalogParseError(line, col + start, "orders must be at least 2")
             parts.append(nums)
         elif depth:
             current += ch
@@ -210,6 +212,7 @@ def _parse_recipe(text: str, line: int, col: int) -> TripleRecipe:
 def parse_catalog(text: str) -> List[CatalogEntry]:
     entries: List[CatalogEntry] = []
     current: Optional[CatalogEntry] = None
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -221,15 +224,20 @@ def parse_catalog(text: str) -> List[CatalogEntry]:
         else:
             key, value = line, ""
         col = raw.index(key) + 1
+        vcol = raw.index(value, col - 1 + len(key)) + 1 if value else col
         if key == "group":
             if not value:
                 raise CatalogParseError(lineno, col, "group needs a name")
-            current = CatalogEntry(name=value.strip(), line=lineno)
+            name = value.strip()
+            if name in first_line:
+                raise CatalogParseError(lineno, vcol,
+                                        f"group {name} already defined at line {first_line[name]}")
+            first_line[name] = lineno
+            current = CatalogEntry(name=name, line=lineno)
             entries.append(current)
             continue
         if current is None:
             raise CatalogParseError(lineno, col, "field outside a group record")
-        vcol = raw.index(value) + 1 if value else col
         if key == "source":
             current.source = value.strip()
         elif key == "order":

@@ -22,7 +22,8 @@ monomials e_S (S a subset bitmask) stay available as the lazy view
 CoverElement.vec.  Elements carry their projection to Sym(n) so that
 generation can be certified downstairs: two even projections generate a
 subgroup of Alt(n), so a Schreier-Sims build with known_order n!/2 proves
-whether they generate it.
+whether they generate it.  build_cover checks the presentation of 2.Sym(n)
+on every call, each relation family as stacked matrix products.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ class CliffordCtx:
             assert np.array_equal(self.conjugation(g), _reduce(-g)), i
 
     def conjugation(self, mat: np.ndarray) -> np.ndarray:
-        """The anti-automorphism of the algebra with e_i -> -e_i."""
-        return _mat_mul(_mat_mul(self._conj_inv, mat.T), self._conj)
+        """The anti-automorphism of the algebra with e_i -> -e_i, applied to
+        a matrix or to each matrix of a stack."""
+        return _mat_mul(_mat_mul(self._conj_inv, mat.swapaxes(-1, -2)), self._conj)
 
     @functools.cached_property
     def _monomials(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -262,17 +264,21 @@ def build_cover(n: int) -> Cover:
 
 
 def _verify_presentation(cover: Cover) -> None:
-    n = cover.n
-    t, z = cover.t, cover.z
-    assert (z * z).is_identity()
-    for i in range(1, n):
-        assert t[i] * t[i] == z
-        assert (t[i] * t[i].inverse()).is_identity()
-    for i in range(1, n - 1):
-        assert t[i] * t[i + 1] * t[i] == t[i + 1] * t[i] * t[i + 1]
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            assert (t[i] * t[j]) ** 2 == z
+    """Check the relations of 2.Sym(n) on the generator matrices, each
+    family as stacked products."""
+    ctx = cover.ctx
+    t = np.stack([g.mat for g in cover.generators()])  # t[i] lifts (i+1, i+2)
+    z = cover.z.mat
+    assert np.array_equal(_mat_mul(z, z), ctx.identity)
+    assert (_mat_mul(t, t) == z).all()
+    assert (_mat_mul(t, ctx.conjugation(t)) == ctx.identity).all()
+    a, b = t[:-1], t[1:]
+    assert np.array_equal(_mat_mul(_mat_mul(a, b), a), _mat_mul(_mat_mul(b, a), b))
+    # (t_i t_j)^2 = z for j > i + 1, one stack per i: a single stack of
+    # every pair would hold (n-2)(n-3)/2 products at once
+    for i in range(len(t) - 2):
+        tt = _mat_mul(t[i], t[i + 2:])
+        assert (_mat_mul(tt, tt) == z).all()
 
 
 def word(cover: Cover, indices: Sequence[int]) -> CoverElement:
@@ -367,6 +373,26 @@ def nodd_triple(n: int) -> NoddResult:
     return NoddResult(n, uses_xz, (u, v, w), z_word, alt_order)
 
 
+# the candidate words of _exhibit_center in the order they are tried, each
+# formed only when the search reaches it
+_CENTER_CANDIDATES = (
+    ("u^n", lambda u, v: u), ("v^3", lambda u, v: v), ("(uv)^k", lambda u, v: u * v),
+    ("(uv^-1)^k", lambda u, v: u * v.inverse()), ("(u^2v)^k", lambda u, v: u * u * v),
+    ("(uv^2)^k", lambda u, v: u * v * v),
+    ("([u,v])^k", lambda u, v: u.inverse() * v.inverse() * u * v),
+    ("(u^3v)^k", lambda u, v: u * u * u * v), ("(u^2v^2)^k", lambda u, v: u * u * v * v),
+    ("(u^2v^-1)^k", lambda u, v: u * u * v.inverse()),
+    ("(u^4v)^k", lambda u, v: u ** 4 * v), ("(u^5v)^k", lambda u, v: u ** 5 * v),
+    ("(u^3v^2)^k", lambda u, v: u ** 3 * v * v), ("(u^4v^2)^k", lambda u, v: u ** 4 * v * v),
+    ("(u^5v^2)^k", lambda u, v: u ** 5 * v * v),
+    ("(u^3v^-1)^k", lambda u, v: u ** 3 * v.inverse()),
+    ("(u^4v^-1)^k", lambda u, v: u ** 4 * v.inverse()),
+    ("(uvu^2v)^k", lambda u, v: u * v * u * u * v),
+    ("(uvu^3v)^k", lambda u, v: u * v * u ** 3 * v),
+    ("(uvuv^2)^k", lambda u, v: u * v * u * v * v),
+)
+
+
 def _exhibit_center(u: CoverElement, v: CoverElement, z: CoverElement) -> str:
     """Find a short word in u, v whose value is z.
 
@@ -374,20 +400,8 @@ def _exhibit_center(u: CoverElement, v: CoverElement, z: CoverElement) -> str:
     has order 2k; then word^k = z.  The direct powers u^n, v^3 are tried
     first, then a deterministic breadth of short mixed words.
     """
-    candidates: List[Tuple[str, CoverElement]] = [
-        ("u^n", u), ("v^3", v), ("(uv)^k", u * v),
-        ("(uv^-1)^k", u * v.inverse()), ("(u^2v)^k", u * u * v),
-        ("(uv^2)^k", u * v * v), ("([u,v])^k", u.inverse() * v.inverse() * u * v),
-        ("(u^3v)^k", u * u * u * v), ("(u^2v^2)^k", u * u * v * v),
-        ("(u^2v^-1)^k", u * u * v.inverse()),
-        ("(u^4v)^k", u ** 4 * v), ("(u^5v)^k", u ** 5 * v),
-        ("(u^3v^2)^k", u ** 3 * v * v), ("(u^4v^2)^k", u ** 4 * v * v),
-        ("(u^5v^2)^k", u ** 5 * v * v), ("(u^3v^-1)^k", u ** 3 * v.inverse()),
-        ("(u^4v^-1)^k", u ** 4 * v.inverse()),
-        ("(uvu^2v)^k", u * v * u * u * v), ("(uvu^3v)^k", u * v * u ** 3 * v),
-        ("(uvuv^2)^k", u * v * u * v * v),
-    ]
-    for name, el in candidates:
+    for name, build in _CENTER_CANDIDATES:
+        el = build(u, v)
         k = el.perm.order()
         if (el ** k) == z:
             return f"{name} with k={k}"

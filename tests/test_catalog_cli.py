@@ -61,6 +61,20 @@ def test_parse_errors_name_line_and_column():
     with pytest.raises(CatalogParseError, match="orders must be integers") as err:
         parse_catalog("group X\nsource builtin:SL:3:2\nexpected_types (4,4,x),(3,3,7)\n")
     assert (err.value.line, err.value.column) == (3, 17)
+    # the same bound as a search: recipe's orders, at the offending type
+    with pytest.raises(CatalogParseError, match="orders must be at least 2") as err:
+        parse_catalog("group X\nsource builtin:SL:3:2\nexpected_types (4,4,7),(3,1,7)\n")
+    assert (err.value.line, err.value.column) == (3, 25)
+
+
+def test_group_names_are_unique():
+    record = ("source builtin:SL:3:2\ntriple1 search:4,4,7:1\ntriple2 search:3,3,7:2\n"
+              "expected_types (4,4,7),(3,3,7)\n")
+    text = f"group D\n{record}\ngroup E\n{record}\n# again\ngroup  D\n{record}"
+    with pytest.raises(CatalogParseError, match="group D already defined at line 1") as err:
+        parse_catalog(text)
+    assert (err.value.line, err.value.column) == (14, 8)
+    assert [e.name for e in parse_catalog(text.replace("group  D", "group F"))] == ["D", "E", "F"]
 
 
 def test_missing_file_is_skipped(tmp_path):

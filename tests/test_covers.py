@@ -7,6 +7,7 @@ import pytest
 import beauville.covers as covers_module
 from beauville.covers import (
     CliffordCtx,
+    Cover,
     RankOutOfRange,
     build_cover,
     cover_order,
@@ -30,6 +31,38 @@ def test_presentation_relations():
     assert (z * z).is_identity()
     assert cover_order(z) == 2
     assert cover_order(t[1]) == 4  # t^2 = z != 1 forces order 4
+
+
+def relations_broken(cover):
+    """The relation families of 2.Sym(n) that a cover's generators break,
+    checked one product at a time."""
+    t, z, n = cover.t, cover.z, cover.n
+    broken = set()
+    if not all(t[i] * t[i] == z for i in range(1, n)):
+        broken.add("square")
+    if not all((t[i] * t[i].inverse()).is_identity() for i in range(1, n)):
+        broken.add("inverse")
+    if not all(t[i] * t[i + 1] * t[i] == t[i + 1] * t[i] * t[i + 1] for i in range(1, n - 1)):
+        broken.add("braid")
+    if not all((t[i] * t[j]) ** 2 == z for i in range(1, n) for j in range(i + 2, n)):
+        broken.add("commuting")
+    return broken
+
+
+@pytest.mark.parametrize("plant, broken", [
+    (lambda cover: cover.t[1] * cover.z, {"braid"}),
+    (lambda cover: cover.t[2], {"commuting"}),
+    (lambda cover: identity_element(cover.ctx), {"square", "braid"}),
+], ids=["t1z", "t2", "identity"])
+def test_stacked_check_rejects_planted_covers(plant, broken):
+    cover = build_cover(5)
+    assert relations_broken(cover) == set()
+    gens = list(cover.generators())
+    gens[0] = plant(cover)
+    planted = Cover(cover.ctx, gens, cover.z)
+    assert relations_broken(planted) == broken
+    with pytest.raises(AssertionError):
+        covers_module._verify_presentation(planted)
 
 
 def test_rank_bounds():
@@ -219,6 +252,45 @@ def test_search_results_match_golden_values():
     for n, expected in NODD_GOLDEN.items():
         res = nodd_triple(n)
         assert (res.uses_xz, res.z_word) == expected, n
+
+
+def first_center_candidates(u, v):
+    """The first seven candidate words of _exhibit_center: name, value and
+    the products that form it (an inverse is two, Clifford conjugation).
+    Works on cover elements and on their projections alike."""
+    ui, vi = u.inverse(), v.inverse()
+    return [("u^n", u, 0), ("v^3", v, 0), ("(uv)^k", u * v, 1), ("(uv^-1)^k", u * vi, 3),
+            ("(u^2v)^k", u * u * v, 2), ("(uv^2)^k", u * v * v, 2),
+            ("([u,v])^k", ui * vi * u * v, 7)]
+
+
+def test_center_candidates_are_formed_on_demand(monkeypatch):
+    counts = Counter()
+    mat_mul = covers_module._mat_mul
+
+    def counting(*args):
+        counts["cover"] += 1
+        return mat_mul(*args)
+
+    for n, (_, z_word) in NODD_GOLDEN.items():
+        u, v, _ = nodd_triple(n).triple
+        z = build_cover(n).z
+        expected = 0
+        for name, p, products in first_center_candidates(u.perm, v.perm):
+            # the word, then its power k = o(p): bit_length(k) - 1
+            # squarings and popcount(k) - 1 products
+            k = p.order()
+            expected += products + k.bit_length() - 1 + bin(k).count("1") - 1
+            if z_word == f"{name} with k={k}":
+                break
+        else:
+            raise AssertionError(f"{z_word} is not among the first candidates")
+        counts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(covers_module, "_mat_mul", counting)
+            assert covers_module._exhibit_center(u, v, z) == z_word
+        # no product for the candidates after the hit
+        assert counts["cover"] == expected, n
 
 
 def test_neven_search_n10():
